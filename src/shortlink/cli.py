@@ -25,7 +25,7 @@ from .sweep import (crossover, error_vs_duration, loss_scan, optimal_stirap,
 from .ww import build_modes, evolve_ww
 
 
-def _meta(args, **extra):
+def _meta(**extra):
     m = {"tool": f"shortlink {__version__}"}
     m.update(extra)
     return m
@@ -51,13 +51,9 @@ def cmd_simulate(args) -> int:
         traj = evolve_single(link, pulse, 1.0, grid)
     else:
         traj = evolve_pair(link, pulse, pulse, (1.0, 0.0), grid)
-    pops = traj.populations()
-    p2 = pops[1] if args.emitters == 2 else np.zeros_like(pops[0])
-    c2 = traj.c[1] if args.emitters == 2 else np.zeros_like(traj.c[0])
-    cols = ["t", "re_c1", "im_c1", "re_c2", "im_c2", "pop1", "pop2",
-            "n_photon", "dpop1_dt"]
-    data = [traj.t, traj.c[0].real, traj.c[0].imag, c2.real, c2.imag,
-            pops[0], p2, traj.photon_number(), np.gradient(pops[0], grid.h)]
+    cols, data = traj._columns()
+    cols.append("dpop1_dt")
+    data.append(np.gradient(traj.populations()[0], grid.h))
     if args.ww:
         M = _steps_for_modes(link.delta, args.n_modes, args.steps_per_tau)
         wgrid = make_grid(1.0, args.t_end, M)
@@ -74,7 +70,7 @@ def cmd_simulate(args) -> int:
         cols += ["ww_pop1", "ww_pop2", "ww_n_photon"]
         data += [wp[0], wp[1], ww.photon[::stride][: len(traj.t)]]
     rows = np.column_stack(data)
-    meta = _meta(args, gamma_tau=args.gamma_tau, delta_fsr=args.delta_fsr,
+    meta = _meta(gamma_tau=args.gamma_tau, delta_fsr=args.delta_fsr,
                  steps_per_tau=args.steps_per_tau, emitters=args.emitters)
     if args.format == "json":
         write_json(args.out, {"meta": meta, "columns": cols,
@@ -101,7 +97,7 @@ def cmd_spectrum(args) -> int:
                     for w, p in zip(res.omegas, res.spectrum))
         eigen_rows.extend((d / math.pi, lam / math.pi)
                           for lam in eigenfrequencies(link, (omegas[0], omegas[-1])))
-    meta = _meta(args, gamma_tau=gamma, broadening=args.broadening)
+    meta = _meta(gamma_tau=gamma, broadening=args.broadening)
     if args.format == "json":
         write_json(args.out, {"meta": meta,
                               "heatmap": {"columns": ["delta_fsr", "omega_fsr", "power"],
@@ -125,7 +121,7 @@ def cmd_protocol(args) -> int:
         errs = error_vs_duration(args.kind, g, Ts, args.steps_per_tau)
         write_csv(args.out, ["T_over_tau", "infidelity"],
                   np.column_stack([Ts, errs]),
-                  _meta(args, protocol=args.kind, gamma_tau=g))
+                  _meta(protocol=args.kind, gamma_tau=g))
         return 0
     if args.optimize:
         if args.kind == "swap":
@@ -142,7 +138,7 @@ def cmd_protocol(args) -> int:
     spec = ProtocolSpec(args.kind, g, T)
     traj, record = run_protocol(spec, link, args.steps_per_tau,
                                 kappa=args.kappa_tau)
-    record["meta"] = _meta(args)
+    record["meta"] = _meta()
     if args.kind == "czkm":
         pulses = make_pulses(spec, link)
         db = dark_bright(traj, pulses, link)
@@ -165,7 +161,7 @@ def cmd_scan(args) -> int:
                         steps_per_tau=args.steps_per_tau)
         rows = [(kind, T, eps) for kind in out for T, eps in out[kind]["rows"]]
         write_csv(args.out, ["protocol", "T_over_tau", "loss_error"], rows,
-                  _meta(args, kappa_tau=args.kappa_tau))
+                  _meta(kappa_tau=args.kappa_tau))
         write_json(str(args.out) + ".fits.json",
                    {k: out[k]["fit"] for k in out})
         return 0
@@ -184,7 +180,7 @@ def cmd_scan(args) -> int:
              1.0 - math.exp(-args.kappa_tau * r.loss_integral), r.note)
             for r in records]
     write_csv(args.out, ["protocol", "gamma0_tau", "T_opt_over_tau",
-                         "infidelity", "loss_error", "note"], rows, _meta(args))
+                         "infidelity", "loss_error", "note"], rows, _meta())
     summary = {"crossover_gamma0_tau": crossover(records)}
     if args.ww:
         summary["ww"] = _ww_overlay(records, args)

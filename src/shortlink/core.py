@@ -287,27 +287,28 @@ class Trajectory:
         w = _lagrange_weights(x - s)
         return complex(np.dot(w, self.c[l, s:s + 4]))
 
-    def to_csv(self, path) -> None:
-        from .io import write_csv
-
+    def _columns(self):
+        """Names and data of the trajectory table; a lone emitter's c2 is zero."""
         pops = self.populations()
         n_em = self.c.shape[0]
         c2 = self.c[1] if n_em > 1 else np.zeros_like(self.c[0])
         p2 = pops[1] if n_em > 1 else np.zeros_like(pops[0])
-        rows = np.column_stack([
-            self.t,
-            self.c[0].real, self.c[0].imag,
-            c2.real, c2.imag,
-            pops[0], p2,
-            self.photon_number(),
-        ])
+        names = ["t", "re_c1", "im_c1", "re_c2", "im_c2", "pop1", "pop2", "n_photon"]
+        data = [self.t, self.c[0].real, self.c[0].imag, c2.real, c2.imag,
+                pops[0], p2, self.photon_number()]
+        return names, data
+
+    def to_csv(self, path) -> None:
+        from .io import write_csv
+
+        names, data = self._columns()
         meta = {
             "gamma0": self.link.gamma0,
             "tau": self.link.tau,
             "delta": self.link.delta,
             "steps_per_tau": self.grid.steps_per_tau,
         }
-        write_csv(path, ["t", "re_c1", "im_c1", "re_c2", "im_c2", "pop1", "pop2", "n_photon"], rows, meta)
+        write_csv(path, names, np.column_stack(data), meta)
 
 
 def _lagrange_weights(x: float) -> np.ndarray:

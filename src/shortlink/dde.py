@@ -11,6 +11,9 @@ with the echo field maintained by the exact on-grid recursion
     b_l(t) = sqrt(gamma_l(t)) c_l(t) + e^{i 2 phi} b_l(t - 2 tau),
     b_l(t < 0) = 0.
 
+A lone emitter drops the cross term, and its round trip (2 tau, 2 phi)
+may be replaced by any (T_rt, Phi) with T_rt a whole number of steps.
+
 The grid step divides tau, so every echo arrival (and hence every
 derivative kink) sits on a grid node and no RK4 step straddles one.
 Delayed values at RK half-stages are obtained by cubic interpolation of
@@ -21,7 +24,6 @@ consecutive kink nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,54 +40,18 @@ _HALF_W = (
 _NORM_SLACK = 1e-9
 
 
-@dataclass
-class EchoBuffer:
-    """Full echo-field history for one emitter.
+def _stencils(period: int):
+    """Half-node stencils for one smooth piece [p, p + period] of an echo.
 
-    The integrator keeps the complete b_out record (diagnostics need random
-    access); `horizon` reports how many delayed steps the hot loop actually
-    reaches back.
+    Row r, for the half node between p + r and p + r + 1, is (s, w0..w3):
+    the cubic through nodes p + s .. p + s + 3, which all lie in the piece,
+    so no stencil bridges a derivative kink.
     """
-
-    ring: np.ndarray
-    horizon: int
-
-    def value(self, j: int) -> complex:
-        return 0j if j < 0 else complex(self.ring[j])
-
-
-def _half_value(b: list, j: int, period: int, b_left: list, jump_stride: int) -> complex:
-    """Interpolate the echo history midway between nodes j and j+1.
-
-    The 4-point stencil is kept inside [p, p + period] where p is the kink
-    node at or below j, so it never bridges a derivative discontinuity.
-    The echo field carries a value jump at every node n * jump_stride (the
-    turn-on jump replayed by the recursion); stored node values are
-    right-limits, so a stencil touching its piece's upper end substitutes
-    the left-limit b_left[n] there.
-    """
-    if j < 0:
-        return 0j
-    p_lo = (j // period) * period
-    s = j - 1
-    if s < p_lo:
-        s = p_lo
-    elif s > p_lo + period - 3:
-        s = p_lo + period - 3
-    w = _HALF_W[j - s]
-    v3 = b[s + 3]
-    top = s + 3
-    if top == p_lo + period and top % jump_stride == 0:
-        v3 = b_left[top // jump_stride]
-    return w[0] * b[s] + w[1] * b[s + 1] + w[2] * b[s + 2] + w[3] * v3
-
-
-def _sample_pulse(pulse: PulseProfile, grid: TimeGrid):
-    """Pulse values at grid nodes and half-nodes, plus their square roots."""
-    t = grid.times()
-    g = np.asarray(eval_pulse(pulse, t), dtype=float)
-    gh = np.asarray(eval_pulse(pulse, t[:-1] + 0.5 * grid.h), dtype=float)
-    return g, gh, np.sqrt(g), np.sqrt(gh)
+    rows = []
+    for r in range(period):
+        s = 0 if r == 0 else min(r - 1, period - 3)
+        rows.append((s, *_HALF_W[r - s]))
+    return rows
 
 
 def _check_norm(c: np.ndarray) -> None:
@@ -97,6 +63,96 @@ def _check_norm(c: np.ndarray) -> None:
         )
 
 
+def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
+                     big_phi: float) -> Trajectory:
+    """RK4 over the method-of-steps grid for one emitter or a pair.
+
+    Each emitter hears its own echo R steps back with phase e^{i big_phi};
+    in a pair it also hears its partner's echo M = steps_per_tau steps back
+    with phase e^{i big_phi/2}.  Kinks sit every P steps, P the shortest
+    delay (M for a pair, R for one emitter).  R and M are multiples of P,
+    so every delayed read made while stepping through a P-step block lands
+    at or before the block start: each block first assembles the echo its
+    steps hear, then steps each emitter through it.
+
+    The echo history is kept three ways, each padded with R zeros for
+    t < 0: b holds node values (right limits), bm left limits and bh
+    half-node values.  b and bm follow the same recursion
+    b(t) = sqrt(gamma) c + e^{i big_phi} b(t - R), with bm = 0 at t = 0-,
+    so they differ only on multiples of R, where the turn-on jump replays.
+    A step's endpoint and a half-node stencil's top node close a smooth
+    piece and read bm; every other node reads b.
+    """
+    L = len(pulses)
+    h, N, M = grid.h, grid.n_steps, grid.steps_per_tau
+    P = M if L == 2 else R
+    cross = R - M  # shift from an emitter's own echo to its partner's
+    e_self = complex(np.exp(1j * math.fmod(big_phi, TWO_PI)))
+    e_cross = complex(np.exp(1j * math.fmod(0.5 * big_phi, TWO_PI)))
+    # a lone emitter's phase rides on its coupling, (-sqrt(gamma) e^{i Phi}) b:
+    # the other association, -sqrt(gamma) (e^{i Phi} b), rounds differently
+    lone = 1.0 if L == 2 else e_self
+
+    # per emitter: -gamma/2 and the echo coupling at nodes and half nodes,
+    # and sqrt(gamma) at nodes
+    t = grid.times()
+    gamma, coef = [], []
+    for pulse in pulses:
+        g = np.asarray(eval_pulse(pulse, t), dtype=float)
+        gh = np.asarray(eval_pulse(pulse, t[:-1] + 0.5 * h), dtype=float)
+        sg, sgh = np.sqrt(g), np.sqrt(gh)
+        gamma.append(g)
+        coef.append(((-0.5 * g).tolist(), (-0.5 * gh).tolist(), (-sg * lone).tolist(),
+                     (-sgh * lone).tolist(), sg.tolist()))
+    c = [[y0] + [0j] * N for y0 in c0]
+    hist = [tuple([0j] * (R + N + 1) for _ in range(3)) for _ in range(L)]
+    for (b, _, _), (*_, sg), y0 in zip(hist, coef, c0):
+        b[R] = sg[0] * y0
+
+    def heard(l, x, j, n):
+        """n values of the echo emitter l hears, from history x, from index j."""
+        own = hist[l][x][j:j + n]
+        if L == 1:  # its phase is on the coupling
+            return own
+        other = hist[1 - l][x][j + cross:j + cross + n]
+        return [e_self * u + e_cross * v for u, v in zip(own, other)]
+
+    stencils = _stencils(P)
+    half = 0.5 * h
+    sixth = h / 6.0
+    for k in range(0, N, P):
+        n = min(P, N - k)
+        p = k - P + R
+        # the echo piece [k - P, k] is complete: fill its half nodes
+        for b, bh, bm in hist:
+            bh[p:p + P] = [w0 * b[p + s] + w1 * b[p + s + 1] + w2 * b[p + s + 2]
+                           + w3 * bm[p + s + 3] for s, w0, w1, w2, w3 in stencils]
+        for l, (cl, (b, _, bm), (a, ah, A, Ah, sg)) in enumerate(zip(c, hist, coef)):
+            y = cl[k]
+            # echo at step starts (b), half nodes (bh) and step ends (bm)
+            for i, E0, Eh, E1 in zip(range(k, k + n), heard(l, 0, k, n),
+                                     heard(l, 1, k, n), heard(l, 2, k + 1, n)):
+                F0 = A[i] * E0
+                Fh = Ah[i] * Eh
+                F1 = A[i + 1] * E1
+                k1 = a[i] * y + F0
+                k2 = ah[i] * (y + half * k1) + Fh
+                k3 = ah[i] * (y + half * k2) + Fh
+                k4 = a[i + 1] * (y + h * k3) + F1
+                y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+                cl[i + 1] = y
+                x = sg[i + 1] * y
+                b[i + 1 + R] = x + e_self * b[i + 1]
+                bm[i + 1 + R] = x + e_self * bm[i + 1]
+
+    c_arr = np.array(c)
+    _check_norm(c_arr)
+    return Trajectory(grid=grid, link=link, c=c_arr,
+                      gamma_samples=np.array(gamma),
+                      b_out=np.array([b[R:] for b, _, _ in hist]),
+                      echo_delay_steps=R, echo_phase=big_phi)
+
+
 def evolve_pair(link: LinkParams, pulse1: PulseProfile, pulse2: PulseProfile,
                 c0, grid: TimeGrid) -> Trajectory:
     """Integrate the two-emitter DDE from initial amplitudes c0 = (c1, c2)."""
@@ -106,84 +162,8 @@ def evolve_pair(link: LinkParams, pulse1: PulseProfile, pulse2: PulseProfile,
     M = grid.steps_per_tau
     if abs(M * grid.h - link.tau) > 1e-12 * link.tau:
         raise ValueError("grid is not aligned with the link delay tau")
-    h = grid.h
-    N = grid.n_steps
-    phi = link.phi
-    e1 = complex(np.exp(1j * math.fmod(phi, TWO_PI)))
-    e2 = complex(np.exp(1j * math.fmod(2.0 * phi, TWO_PI)))
-
-    g_all, sg_all, sgh_all = [], [], []
-    for pulse in (pulse1, pulse2):
-        g, gh, sg, sgh = _sample_pulse(pulse, grid)
-        g_all.append((g.tolist(), gh.tolist()))
-        sg_all.append(sg.tolist())
-        sgh_all.append(sgh.tolist())
-
-    c = [[0j] * (N + 1), [0j] * (N + 1)]
-    b = [[0j] * (N + 1), [0j] * (N + 1)]
-    c[0][0], c[1][0] = c01, c02
-    b[0][0] = sg_all[0][0] * c01
-    b[1][0] = sg_all[1][0] * c02
-
-    M2 = 2 * M
-    # left limits of b at its jump lattice (nodes n * 2M); index n
-    bL = [[0j] * (N // M2 + 1), [0j] * (N // M2 + 1)]
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(N):
-        for l in (0, 1):
-            o = 1 - l
-            g_n, g_h = g_all[l]
-            sg, sgh = sg_all[l], sgh_all[l]
-            bl, bo = b[l], b[o]
-
-            js, jc = i - M2, i - M
-            d_self0 = bl[js] if js >= 0 else 0j
-            d_cross0 = bo[jc] if jc >= 0 else 0j
-            F0 = -sg[i] * (e2 * d_self0 + e1 * d_cross0)
-
-            Fh = -sgh[i] * (e2 * _half_value(bl, js, M, bL[l], M2)
-                            + e1 * _half_value(bo, jc, M, bL[o], M2))
-
-            js1, jc1 = js + 1, jc + 1
-            # step endpoint: values on the jump lattice take the left limit
-            # (the refreshed echo belongs to the next step)
-            if js1 < 0:
-                d_self1 = 0j
-            elif js1 % M2 == 0:
-                d_self1 = bL[l][js1 // M2]
-            else:
-                d_self1 = bl[js1]
-            if jc1 < 0:
-                d_cross1 = 0j
-            elif jc1 % M2 == 0:
-                d_cross1 = bL[o][jc1 // M2]
-            else:
-                d_cross1 = bo[jc1]
-            F1 = -sg[i + 1] * (e2 * d_self1 + e1 * d_cross1)
-
-            a0 = -0.5 * g_n[i]
-            ah = -0.5 * g_h[i]
-            a1 = -0.5 * g_n[i + 1]
-            y = c[l][i]
-            k1 = a0 * y + F0
-            k2 = ah * (y + half * k1) + Fh
-            k3 = ah * (y + half * k2) + Fh
-            k4 = a1 * (y + h * k3) + F1
-            c[l][i + 1] = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        for l in (0, 1):
-            js1 = i + 1 - M2
-            tail = b[l][js1] if js1 >= 0 else 0j
-            b[l][i + 1] = sg_all[l][i + 1] * c[l][i + 1] + e2 * tail
-            if (i + 1) % M2 == 0:
-                n = (i + 1) // M2
-                bL[l][n] = sg_all[l][i + 1] * c[l][i + 1] + e2 * bL[l][n - 1]
-
-    c_arr = np.array(c)
-    _check_norm(c_arr)
-    gam = np.array([np.asarray(g_all[0][0]), np.asarray(g_all[1][0])])
-    return Trajectory(grid=grid, link=link, c=c_arr, gamma_samples=gam,
-                      b_out=np.array(b), echo_delay_steps=M2, echo_phase=2.0 * phi)
+    return _method_of_steps(link, (pulse1, pulse2), (c01, c02), grid, 2 * M,
+                            2.0 * link.phi)
 
 
 def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
@@ -205,51 +185,7 @@ def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
     R = int(round(t_rt / h))
     if R < 4 or abs(R * h - t_rt) > 1e-9 * t_rt:
         raise ValueError("round-trip time must be a whole number (>= 4) of grid steps")
-    N = grid.n_steps
-    ep = complex(np.exp(1j * math.fmod(big_phi, TWO_PI)))
-
-    g, gh, sg_a, sgh_a = _sample_pulse(pulse, grid)
-    g_n, g_h = g.tolist(), gh.tolist()
-    sg, sgh = sg_a.tolist(), sgh_a.tolist()
-
-    c = [0j] * (N + 1)
-    b = [0j] * (N + 1)
-    c[0] = c0
-    b[0] = sg[0] * c0
-    bL = [0j] * (N // R + 1)
-
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(N):
-        j = i - R
-        F0 = -sg[i] * ep * (b[j] if j >= 0 else 0j)
-        Fh = -sgh[i] * ep * _half_value(b, j, R, bL, R)
-        if j + 1 < 0:
-            d1 = 0j
-        elif (j + 1) % R == 0:
-            d1 = bL[(j + 1) // R]
-        else:
-            d1 = b[j + 1]
-        F1 = -sg[i + 1] * ep * d1
-        a0 = -0.5 * g_n[i]
-        ah = -0.5 * g_h[i]
-        a1 = -0.5 * g_n[i + 1]
-        y = c[i]
-        k1 = a0 * y + F0
-        k2 = ah * (y + half * k1) + Fh
-        k3 = ah * (y + half * k2) + Fh
-        k4 = a1 * (y + h * k3) + F1
-        c[i + 1] = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        tail = b[i + 1 - R] if i + 1 - R >= 0 else 0j
-        b[i + 1] = sg[i + 1] * c[i + 1] + ep * tail
-        if (i + 1) % R == 0:
-            n = (i + 1) // R
-            bL[n] = sg[i + 1] * c[i + 1] + ep * bL[n - 1]
-
-    c_arr = np.array([c])
-    _check_norm(c_arr)
-    return Trajectory(grid=grid, link=link, c=c_arr, gamma_samples=np.array([g]),
-                      b_out=np.array([b]), echo_delay_steps=R, echo_phase=big_phi)
+    return _method_of_steps(link, (pulse,), (c0,), grid, R, big_phi)
 
 
 def output_field(traj: Trajectory, l: int, t: float) -> complex:
@@ -280,37 +216,30 @@ def output_field_sum(traj: Trajectory, l: int, t: float) -> complex:
     return total
 
 
+def _kinks(traj: Trajectory, x, kind):
+    """One-sided third-order derivative jumps of x at the echo arrival nodes."""
+    R = traj.echo_delay_steps
+    h = traj.grid.h
+    N = traj.grid.n_steps
+    out = []
+    k = R
+    while k + 3 <= N:
+        left = (-2.0 * x[k - 3] + 9.0 * x[k - 2] - 18.0 * x[k - 1] + 11.0 * x[k]) / (6.0 * h)
+        right = (-11.0 * x[k] + 18.0 * x[k + 1] - 9.0 * x[k + 2] + 2.0 * x[k + 3]) / (6.0 * h)
+        out.append((k * h, kind(right - left)))
+        k += R
+    return out
+
+
 def derivative_kinks(traj: Trajectory, link: LinkParams):
     """Measured one-sided derivative jumps of c at the echo arrival nodes.
 
     Uses third-order one-sided finite differences on the grid; valid for
     constant-coupling single-emitter trajectories.
     """
-    R = traj.echo_delay_steps
-    h = traj.grid.h
-    N = traj.grid.n_steps
-    c = traj.c[0]
-    out = []
-    k = R
-    while k + 3 <= N:
-        left = (-2.0 * c[k - 3] + 9.0 * c[k - 2] - 18.0 * c[k - 1] + 11.0 * c[k]) / (6.0 * h)
-        right = (-11.0 * c[k] + 18.0 * c[k + 1] - 9.0 * c[k + 2] + 2.0 * c[k + 3]) / (6.0 * h)
-        out.append((k * h, complex(right - left)))
-        k += R
-    return out
+    return _kinks(traj, traj.c[0], complex)
 
 
 def population_kinks(traj: Trajectory, link: LinkParams):
     """One-sided derivative jumps of the excited-state population |c|^2."""
-    R = traj.echo_delay_steps
-    h = traj.grid.h
-    N = traj.grid.n_steps
-    p = np.abs(traj.c[0]) ** 2
-    out = []
-    k = R
-    while k + 3 <= N:
-        left = (-2.0 * p[k - 3] + 9.0 * p[k - 2] - 18.0 * p[k - 1] + 11.0 * p[k]) / (6.0 * h)
-        right = (-11.0 * p[k] + 18.0 * p[k + 1] - 9.0 * p[k + 2] + 2.0 * p[k + 3]) / (6.0 * h)
-        out.append((k * h, float(right - left)))
-        k += R
-    return out
+    return _kinks(traj, np.abs(traj.c[0]) ** 2, float)

@@ -73,19 +73,17 @@ class WWTrajectory(Trajectory):
 
 
 def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid,
-              snapshot_times=(), lamb_shift: float = 0.0) -> WWTrajectory:
+              snapshot_times=()) -> WWTrajectory:
     """Fixed-step RK4 integration of the emitter + mode amplitudes.
 
     pulses: (pulse1, pulse2); c0: initial (c1, c2).  The mode loop is
     vectorized with a fixed summation order, so results are reproducible
-    bit-for-bit.  lamb_shift adds a scalar offset to the emitter frequency
-    used for the rotating frame (calibration knob, default off).
+    bit-for-bit.
     """
     c01, c02 = complex(c0[0]), complex(c0[1])
     if abs(c01) ** 2 + abs(c02) ** 2 > 1.0 + 1e-9:
         raise ValueError("initial amplitudes exceed the single-excitation sector")
-    delta_eff = link.delta + lamb_shift
-    nu = modes.omegas - delta_eff
+    nu = modes.omegas - link.delta
     h = grid.h
     if h * float(np.max(np.abs(nu))) > _MAX_PHASE_STEP:
         raise ValueError(

@@ -115,6 +115,21 @@ class TestTwoEmitters:
         np.testing.assert_allclose(pair.c[0], single.c[0], atol=1e-12)
         np.testing.assert_allclose(pair.c[1], 0.0, atol=1e-12)
 
+    def test_sector_identity(self):
+        # with equal couplings c1 +- c2 each follow a one-delay single-emitter
+        # DDE, round trip (tau, phi) for + and (tau, phi + pi) for -; this
+        # checks the cross-echo term against an independent route
+        for gamma, phi, steps, t_end in [(0.5, 0.0, 200, 12.0), (0.2, 1.1, 50, 8.3),
+                                         (2.0, 4.0, 100, 6.0)]:
+            link = make_link(gamma, 1.0, phi)
+            grid = make_grid(1.0, t_end, steps)
+            p = constant_pulse(gamma, (0.0, grid.t_end))
+            pair = evolve_pair(link, p, p, (1.0, 0.0), grid)
+            plus = evolve_single(link, p, 1.0, grid, round_trip=(1.0, phi)).c[0]
+            minus = evolve_single(link, p, 1.0, grid, round_trip=(1.0, phi + math.pi)).c[0]
+            np.testing.assert_allclose(pair.c[0], 0.5 * (plus + minus), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(pair.c[1], 0.5 * (plus - minus), rtol=0, atol=1e-12)
+
     def test_rabi_exchange_time(self):
         # joint oscillation at Omega = sqrt(gamma0/tau): first transfer
         # maximum close to T = pi/Omega in the weak-coupling regime

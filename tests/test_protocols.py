@@ -53,8 +53,9 @@ class TestMakePulses:
             assert np.max(eval_pulse(p2, t)) <= 0.7 + 1e-15
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ProtocolSpec("teleport", 0.1, 1.0)
+        for kind in ("teleport", "shaped"):
+            with pytest.raises(ValueError):
+                ProtocolSpec(kind, 0.1, 1.0)
         with pytest.raises(ValueError):
             make_pulses(ProtocolSpec("czkm", 0.1, 0.5), link_for(0.1))
 
