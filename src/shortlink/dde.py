@@ -1,4 +1,4 @@
-"""Method-of-steps RK4 integrator for the one- and two-emitter delay equations.
+"""Block-vectorized method of steps for the one- and two-emitter delay equations.
 
 The two-emitter equation of motion is
 
@@ -16,9 +16,14 @@ may be replaced by any (T_rt, Phi) with T_rt a whole number of steps.
 
 The grid step divides tau, so every echo arrival (and hence every
 derivative kink) sits on a grid node and no RK4 step straddles one.
-Delayed values at RK half-stages are obtained by cubic interpolation of
-the echo history, with stencils chosen inside the smooth pieces between
-consecutive kink nodes.
+Each equation is linear, dc/dt = a(t) c + F(t) with a = -gamma/2, and its
+forcing F was emitted at least one shortest delay earlier.  One RK4 step
+is therefore exactly c_{i+1} = A_i c_i + B_i: A_i depends on the couplings
+alone and is computed once per run; B_i depends on echoes that are all
+known when a block of steps as long as the shortest delay starts, so a
+block's B_i, with the cubic interpolation of the echo at the RK half
+stages, are whole-array operations.  Only the scalar recurrence is a
+Python loop.
 """
 
 from __future__ import annotations
@@ -31,57 +36,75 @@ from .core import LinkParams, PulseProfile, TimeGrid, Trajectory, TWO_PI, eval_p
 
 # cubic Lagrange weights for a value midway between stencil nodes
 # rows: delayed point between nodes (S, S+1), (S+1, S+2), (S+2, S+3)
-_HALF_W = (
+_HALF_W = np.array((
     (0.3125, 0.9375, -0.3125, 0.0625),
     (-0.0625, 0.5625, 0.5625, -0.0625),
     (0.0625, -0.3125, 0.9375, 0.3125),
-)
+))
 
 _NORM_SLACK = 1e-9
 
 
-def _stencils(period: int):
-    """Half-node stencils for one smooth piece [p, p + period] of an echo.
+def _half_nodes(E: np.ndarray) -> np.ndarray:
+    """Values midway between the nodes of one smooth piece E[:, 0..P].
 
-    Row r, for the half node between p + r and p + r + 1, is (s, w0..w3):
-    the cubic through nodes p + s .. p + s + 3, which all lie in the piece,
-    so no stencil bridges a derivative kink.
+    Each comes from the cubic through four consecutive nodes of the piece,
+    centred where it can be, so no stencil bridges a derivative kink.
     """
-    rows = []
-    for r in range(period):
-        s = 0 if r == 0 else min(r - 1, period - 3)
-        rows.append((s, *_HALF_W[r - s]))
-    return rows
+    w0, w1 = _HALF_W[1, :2]
+    mid = w1 * (E[:, 1:-2] + E[:, 2:-1]) + w0 * (E[:, :-3] + E[:, 3:])
+    return np.concatenate((E[:, :4] @ _HALF_W[0, :, None], mid,
+                           E[:, -4:] @ _HALF_W[2, :, None]), axis=1)
 
 
 def _check_norm(c: np.ndarray) -> None:
-    n = np.sum(np.abs(c) ** 2, axis=0)
-    worst = float(np.max(n))
+    worst = float(np.max(np.sum(np.abs(c) ** 2, axis=0)))
+    if not math.isfinite(worst):
+        raise RuntimeError("non-finite amplitude; check the couplings for NaN or inf")
     if worst > 1.0 + _NORM_SLACK:
         raise RuntimeError(
             f"single-excitation norm exceeded 1 by {worst - 1.0:.3e}; grid too coarse"
         )
 
 
+def _check_initial(c0) -> tuple:
+    """Initial amplitudes as complex numbers: finite, norm at most 1."""
+    c0 = tuple(complex(z) for z in c0)
+    norm = sum(abs(z) ** 2 for z in c0)
+    if not math.isfinite(norm):
+        raise ValueError(f"initial amplitudes must be finite, got {c0!r}")
+    if norm > 1.0 + _NORM_SLACK:
+        raise ValueError("initial amplitudes exceed the single-excitation sector")
+    return c0
+
+
 def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
                      big_phi: float) -> Trajectory:
-    """RK4 over the method-of-steps grid for one emitter or a pair.
+    """RK4 over the method-of-steps grid for one emitter or a pair, by blocks.
 
     Each emitter hears its own echo R steps back with phase e^{i big_phi};
     in a pair it also hears its partner's echo M = steps_per_tau steps back
     with phase e^{i big_phi/2}.  Kinks sit every P steps, P the shortest
     delay (M for a pair, R for one emitter).  R and M are multiples of P,
-    so every delayed read made while stepping through a P-step block lands
-    at or before the block start: each block first assembles the echo its
-    steps hear, then steps each emitter through it.
+    so over a block [k, k + P] each emitter hears one smooth piece of echo,
+    all of it emitted by t_k.
 
-    The echo history is kept three ways, each padded with R zeros for
-    t < 0: b holds node values (right limits), bm left limits and bh
-    half-node values.  b and bm follow the same recursion
-    b(t) = sqrt(gamma) c + e^{i big_phi} b(t - R), with bm = 0 at t = 0-,
-    so they differ only on multiples of R, where the turn-on jump replays.
-    A step's endpoint and a half-node stencil's top node close a smooth
-    piece and read bm; every other node reads b.
+    For dc/dt = a c + F with a = -gamma/2 and F = -sqrt(gamma) E, E the
+    heard echo, one RK4 step is exactly c_{i+1} = A_i c_i + B_i with
+    A_i = 1 + u_i a(t_i) + v_i a(t_i + h/2) + (h/6) a(t_{i+1}) and B_i the
+    same weighted sum of F.  A_i - 1 (kept apart from the 1, whose rounding
+    would bias every step alike) and the weights come once per run.  Per
+    block, as (emitters, steps) arrays: E at the nodes, from contiguous
+    slices of the history; E midway between them, by _half_nodes; and B_i.
+    A Python loop then runs the recurrence across the block, and the
+    recursion b(t) = sqrt(gamma) c + e^{i big_phi} b(t - R) extends the
+    echo history from the block's amplitudes.
+
+    The history is padded with R zeros for t < 0 and kept twice: b holds
+    node values (right limits, returned as b_out) and bm left limits, with
+    bm = 0 at t = 0-.  They differ only on multiples of R, where the
+    turn-on jump replays; the top node of a piece, which a block's last
+    step ends on, reads bm.
     """
     L = len(pulses)
     h, N, M = grid.h, grid.n_steps, grid.steps_per_tau
@@ -89,81 +112,57 @@ def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
     cross = R - M  # shift from an emitter's own echo to its partner's
     e_self = complex(np.exp(1j * math.fmod(big_phi, TWO_PI)))
     e_cross = complex(np.exp(1j * math.fmod(0.5 * big_phi, TWO_PI)))
-    # a lone emitter's phase rides on its coupling, (-sqrt(gamma) e^{i Phi}) b:
-    # the other association, -sqrt(gamma) (e^{i Phi} b), rounds differently
-    lone = 1.0 if L == 2 else e_self
 
-    # per emitter: -gamma/2 and the echo coupling at nodes and half nodes,
-    # and sqrt(gamma) at nodes
     t = grid.times()
-    gamma, coef = [], []
-    for pulse in pulses:
-        g = np.asarray(eval_pulse(pulse, t), dtype=float)
-        gh = np.asarray(eval_pulse(pulse, t[:-1] + 0.5 * h), dtype=float)
-        sg, sgh = np.sqrt(g), np.sqrt(gh)
-        gamma.append(g)
-        coef.append(((-0.5 * g).tolist(), (-0.5 * gh).tolist(), (-sg * lone).tolist(),
-                     (-sgh * lone).tolist(), sg.tolist()))
-    c = [[y0] + [0j] * N for y0 in c0]
-    hist = [tuple([0j] * (R + N + 1) for _ in range(3)) for _ in range(L)]
-    for (b, _, _), (*_, sg), y0 in zip(hist, coef, c0):
-        b[R] = sg[0] * y0
+    gamma = np.array([eval_pulse(p, t) for p in pulses], dtype=float)
+    gh = np.array([eval_pulse(p, t[:-1] + 0.5 * h) for p in pulses], dtype=float)
+    sg = np.sqrt(gamma)
+    a, ah = -0.5 * gamma, -0.5 * gh
+    hah, ha1 = 0.5 * h * ah, h * a[:, 1:]
+    u = h / 6.0 * (1.0 + hah * (2.0 + hah * (2.0 + ha1)))
+    v = h / 6.0 * (4.0 + 2.0 * hah + ha1 * (1.0 + hah))
+    decay = (u * a[:, :-1] + v * ah + h / 6.0 * a[:, 1:]).tolist()  # A_i - 1
+    # B_i = U_i E(t_i) + V_i E(t_i + h/2) + W_i E(t_{i+1})
+    U, V, W = -u * sg[:, :-1], -v * np.sqrt(gh), -h / 6.0 * sg[:, 1:]
 
-    def heard(l, x, j, n):
-        """n values of the echo emitter l hears, from history x, from index j."""
-        own = hist[l][x][j:j + n]
-        if L == 1:  # its phase is on the coupling
-            return own
-        other = hist[1 - l][x][j + cross:j + cross + n]
-        return [e_self * u + e_cross * v for u, v in zip(own, other)]
+    c = np.zeros((L, N + 1), dtype=complex)
+    c[:, 0] = c0
+    hist = np.zeros((2, L, R + N + 1), dtype=complex)  # right limits b, left limits bm
+    hist[0, :, R] = sg[:, 0] * c[:, 0]
 
-    stencils = _stencils(P)
-    half = 0.5 * h
-    sixth = h / 6.0
+    def heard(j, n):
+        """Echo heard at nodes j - R .. j - R + n - 1, from b and from bm."""
+        own = e_self * hist[:, :, j:j + n]
+        return own if L == 1 else own + e_cross * hist[:, ::-1, j + cross:j + cross + n]
+
     for k in range(0, N, P):
         n = min(P, N - k)
-        p = k - P + R
-        # the echo piece [k - P, k] is complete: fill its half nodes
-        for b, bh, bm in hist:
-            bh[p:p + P] = [w0 * b[p + s] + w1 * b[p + s + 1] + w2 * b[p + s + 2]
-                           + w3 * bm[p + s + 3] for s, w0, w1, w2, w3 in stencils]
-        for l, (cl, (b, _, bm), (a, ah, A, Ah, sg)) in enumerate(zip(c, hist, coef)):
-            y = cl[k]
-            # echo at step starts (b), half nodes (bh) and step ends (bm)
-            for i, E0, Eh, E1 in zip(range(k, k + n), heard(l, 0, k, n),
-                                     heard(l, 1, k, n), heard(l, 2, k + 1, n)):
-                F0 = A[i] * E0
-                Fh = Ah[i] * Eh
-                F1 = A[i + 1] * E1
-                k1 = a[i] * y + F0
-                k2 = ah[i] * (y + half * k1) + Fh
-                k3 = ah[i] * (y + half * k2) + Fh
-                k4 = a[i + 1] * (y + h * k3) + F1
-                y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                cl[i + 1] = y
-                x = sg[i + 1] * y
-                b[i + 1 + R] = x + e_self * b[i + 1]
-                bm[i + 1 + R] = x + e_self * bm[i + 1]
+        E, Em = heard(k, P + 1)
+        E[:, P] = Em[:, P]  # a block's last step ends on a left limit
+        B = (U[:, k:k + n] * E[:, :n] + V[:, k:k + n] * _half_nodes(E)[:, :n]
+             + W[:, k:k + n] * E[:, 1:n + 1])
+        for l in range(L):
+            y = complex(c[l, k])
+            c[l, k + 1:k + n + 1] = [y := y + (d * y + f)
+                                     for d, f in zip(decay[l][k:k + n], B[l].tolist())]
+        x = sg[:, k + 1:k + n + 1] * c[:, k + 1:k + n + 1]
+        hist[:, :, k + 1 + R:k + n + 1 + R] = x + e_self * hist[:, :, k + 1:k + n + 1]
 
-    c_arr = np.array(c)
-    _check_norm(c_arr)
-    return Trajectory(grid=grid, link=link, c=c_arr,
-                      gamma_samples=np.array(gamma),
-                      b_out=np.array([b[R:] for b, _, _ in hist]),
-                      echo_delay_steps=R, echo_phase=big_phi)
+    _check_norm(c)
+    return Trajectory(grid=grid, link=link, c=c, gamma_samples=gamma,
+                      b_out=hist[0, :, R:], echo_delay_steps=R, echo_phase=big_phi)
 
 
 def evolve_pair(link: LinkParams, pulse1: PulseProfile, pulse2: PulseProfile,
                 c0, grid: TimeGrid) -> Trajectory:
     """Integrate the two-emitter DDE from initial amplitudes c0 = (c1, c2)."""
-    c01, c02 = complex(c0[0]), complex(c0[1])
-    if abs(c01) ** 2 + abs(c02) ** 2 > 1.0 + _NORM_SLACK:
-        raise ValueError("initial amplitudes exceed the single-excitation sector")
+    c0 = _check_initial((c0[0], c0[1]))
     M = grid.steps_per_tau
+    if M < 4:
+        raise ValueError("tau must be a whole number (>= 4) of grid steps")
     if abs(M * grid.h - link.tau) > 1e-12 * link.tau:
         raise ValueError("grid is not aligned with the link delay tau")
-    return _method_of_steps(link, (pulse1, pulse2), (c01, c02), grid, 2 * M,
-                            2.0 * link.phi)
+    return _method_of_steps(link, (pulse1, pulse2), c0, grid, 2 * M, 2.0 * link.phi)
 
 
 def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
@@ -174,9 +173,7 @@ def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
     geometry uses (2*tau, 2*phi) (the default); the series-solution
     convention uses (tau, phi).  T_rt must be a whole number of grid steps.
     """
-    c0 = complex(c0)
-    if abs(c0) > 1.0 + _NORM_SLACK:
-        raise ValueError("initial amplitude exceeds the single-excitation sector")
+    c0 = _check_initial((c0,))
     if round_trip is None:
         t_rt, big_phi = 2.0 * link.tau, 2.0 * link.phi
     else:
@@ -185,8 +182,7 @@ def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
     R = int(round(t_rt / h))
     if R < 4 or abs(R * h - t_rt) > 1e-9 * t_rt:
         raise ValueError("round-trip time must be a whole number (>= 4) of grid steps")
-    return _method_of_steps(link, (pulse,), (c0,), grid, R, big_phi)
-
+    return _method_of_steps(link, (pulse,), c0, grid, R, big_phi)
 
 def output_field(traj: Trajectory, l: int, t: float) -> complex:
     """Echo field b_l^out(t) at a grid point, from the stored recursion."""

@@ -1,10 +1,12 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from shortlink.analytic import SeriesParams, series_solution
-from shortlink.core import constant_pulse, make_grid, make_link
+from shortlink.core import (TimeGrid, constant_pulse, eval_pulse, make_grid, make_link,
+                            sin2_pulse, tanh_pulse)
 from shortlink.dde import (evolve_pair, evolve_single, output_field,
                            output_field_sum)
 
@@ -15,6 +17,83 @@ def single_run(gamma, phi, t_end=5.0, steps=200):
     grid = make_grid(1.0, t_end, steps)
     pulse = constant_pulse(gamma, (0.0, grid.t_end))
     return evolve_single(link, pulse, 1.0, grid, round_trip=(1.0, phi)), grid
+
+
+def stepwise(pulses, c0, grid, R, big_phi):
+    """The method-of-steps RK4 one step and one emitter at a time.
+
+    Reference for the block-vectorized kernel.  Emitter l hears its own
+    history R steps back with e^{i big_phi} and, in a pair, its partner's
+    M = steps_per_tau steps back with e^{i big_phi/2}.  A history is smooth
+    between multiples of P, the shortest delay; a step reads right limits
+    at its start and left limits at its end, and a half-node value comes
+    from the cubic through four nodes of its own piece.
+    """
+    L, h, N, M = len(pulses), grid.h, grid.n_steps, grid.steps_per_tau
+    P = M if L == 2 else R
+    t = grid.times()
+    g = [eval_pulse(p, t) for p in pulses]
+    gh = [eval_pulse(p, t[:-1] + 0.5 * h) for p in pulses]
+    phase = (cmath.exp(1j * big_phi), cmath.exp(0.5j * big_phi))
+    c = [[complex(z)] + [0j] * N for z in c0]
+    b = [[math.sqrt(g[l][0]) * c[l][0]] + [0j] * N for l in range(L)]  # right limits
+    bm = [[0j] * (N + 1) for _ in range(L)]  # left limits; nothing before t = 0
+
+    def right(l, j):
+        return b[l][j] if j >= 0 else 0j
+
+    def left(l, j):
+        return bm[l][j] if j >= 0 else 0j
+
+    def half(l, j):  # between nodes j and j + 1
+        if j < 0:
+            return 0j
+        lo = j - j % P
+        s = lo if j == lo else min(j - 1, lo + P - 3)
+        x = j - s + 0.5
+        w = [math.prod((x - m) / (q - m) for m in range(4) if m != q) for q in range(4)]
+        return sum(w[q] * (left if s + q == lo + P else right)(l, s + q) for q in range(4))
+
+    def echo(l, look, j):
+        e = phase[0] * look(l, j - R)
+        return e + phase[1] * look(1 - l, j - M) if L == 2 else e
+
+    def rhs(gam, y, e):
+        return -0.5 * gam * y - math.sqrt(gam) * e
+
+    for i in range(N):
+        for l in range(L):
+            y = c[l][i]
+            e0, eh, e1 = echo(l, right, i), echo(l, half, i), echo(l, left, i + 1)
+            k1 = rhs(g[l][i], y, e0)
+            k2 = rhs(gh[l][i], y + 0.5 * h * k1, eh)
+            k3 = rhs(gh[l][i], y + 0.5 * h * k2, eh)
+            k4 = rhs(g[l][i + 1], y + h * k3, e1)
+            c[l][i + 1] = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        for l in range(L):
+            x = math.sqrt(g[l][i + 1]) * c[l][i + 1]
+            b[l][i + 1] = x + phase[0] * right(l, i + 1 - R)
+            bm[l][i + 1] = x + phase[0] * left(l, i + 1 - R)
+    return np.array(c), np.array(b)
+
+
+class TestBlockKernel:
+    def test_matches_stepwise_reference(self):
+        # shaped pulses, delays of 20 and 50 steps, runs ending mid-block
+        link = make_link(0.8, 0.7, 1.1 / 0.7)
+        grid = make_grid(0.7, 3.33, 50)
+        p1, p2 = tanh_pulse(0.8, 1.2, (0.0, 3.33)), sin2_pulse(0.8, 3.33, mirror=True)
+        pair = evolve_pair(link, p1, p2, (0.6, 0.8j), grid)
+        c, b = stepwise((p1, p2), (0.6, 0.8j), grid, 100, 2.0 * link.phi)
+        np.testing.assert_allclose(pair.c, c, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.b_out, b, rtol=0, atol=1e-12)
+        grid = make_grid(1.0, 4.1, 20)
+        for round_trip in [(1.0, 2.3), (2.0, 0.0)]:
+            single = evolve_single(make_link(0.8, 1.0, 0.0), p1, 0.6 + 0.8j, grid,
+                                   round_trip=round_trip)
+            c, b = stepwise((p1,), (0.6 + 0.8j,), grid, int(20 * round_trip[0]), round_trip[1])
+            np.testing.assert_allclose(single.c, c, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(single.b_out, b, rtol=0, atol=1e-12)
 
 
 class TestSingleEmitter:
@@ -41,6 +120,23 @@ class TestSingleEmitter:
         order1 = math.log2(errs[0] / errs[1])
         order2 = math.log2(errs[1] / errs[2])
         assert order1 > 3.5 and order2 > 3.5
+
+    def test_matches_series_solution_off_block_boundary(self):
+        # t_end = 5.37 at 100 steps per delay ends 37 steps into a block
+        for gamma, phi in [(0.5, 1.3), (1.7, 0.4)]:
+            traj, grid = single_run(gamma, phi, t_end=5.37, steps=100)
+            assert grid.n_steps % 100 == 37
+            p = SeriesParams(gamma=gamma, delay=1.0, phi=phi)
+            exact = np.array([series_solution(p, t) for t in grid.times()])
+            assert np.max(np.abs(traj.c[0] - exact)) < 1e-7
+
+    def test_non_finite_input_rejected(self):
+        link = make_link(0.1, 1.0, 0.0)
+        grid = make_grid(1.0, 3.0, 20)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_single(link, constant_pulse(0.1, (0.0, 3.0)), complex(math.nan, 0.0), grid)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            evolve_single(link, constant_pulse(math.nan, (0.0, 3.0)), 1.0, grid)
 
     def test_round_trip_step_validation(self):
         link = make_link(0.1, 1.0, 0.0)
@@ -130,6 +226,20 @@ class TestTwoEmitters:
             np.testing.assert_allclose(pair.c[0], 0.5 * (plus + minus), rtol=0, atol=1e-12)
             np.testing.assert_allclose(pair.c[1], 0.5 * (plus - minus), rtol=0, atol=1e-12)
 
+    def test_sector_identity_shaped_pulse_partial_block(self):
+        # the sector split holds for any common gamma(t); t_end = 7.3 at 200
+        # steps per tau ends 60 steps into a block
+        gamma, phi = 1.2, 0.9
+        link = make_link(gamma, 1.0, phi)
+        grid = make_grid(1.0, 7.3, 200)
+        assert grid.n_steps % 200 == 60
+        p = sin2_pulse(gamma, grid.t_end)
+        pair = evolve_pair(link, p, p, (0.6, 0.8j), grid)
+        sector = [evolve_single(link, p, 0.6 + s * 0.8j, grid, round_trip=(1.0, phi + shift)).c[0]
+                  for s, shift in ((1, 0.0), (-1, math.pi))]
+        np.testing.assert_allclose(pair.c[0], 0.5 * (sector[0] + sector[1]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair.c[1], 0.5 * (sector[0] - sector[1]), rtol=0, atol=1e-12)
+
     def test_rabi_exchange_time(self):
         # joint oscillation at Omega = sqrt(gamma0/tau): first transfer
         # maximum close to T = pi/Omega in the weak-coupling regime
@@ -149,3 +259,15 @@ class TestTwoEmitters:
         p = constant_pulse(0.1, (0.0, 2.0))
         with pytest.raises(ValueError):
             evolve_pair(link, p, p, (1.0, 0.5), grid)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_pair(link, p, p, (math.nan, 0.0), grid)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            evolve_pair(link, constant_pulse(math.nan, (0.0, 2.0)), p, (1.0, 0.0), grid)
+
+    def test_too_few_steps_per_tau_rejected(self):
+        # the half-node stencil needs four steps inside each delay
+        link = make_link(0.5, 1.0, 0.0)
+        grid = TimeGrid(h=0.5, steps_per_tau=2, t_end=4.0, n_steps=8)
+        p = constant_pulse(0.5, (0.0, 4.0))
+        with pytest.raises(ValueError, match=">= 4"):
+            evolve_pair(link, p, p, (1.0, 0.0), grid)
