@@ -16,14 +16,10 @@ may be replaced by any (T_rt, Phi) with T_rt a whole number of steps.
 
 The grid step divides tau, so every echo arrival (and hence every
 derivative kink) sits on a grid node and no RK4 step straddles one.
-Each equation is linear, dc/dt = a(t) c + F(t) with a = -gamma/2, and its
-forcing F was emitted at least one shortest delay earlier.  One RK4 step
-is therefore exactly c_{i+1} = A_i c_i + B_i: A_i depends on the couplings
-alone and is computed once per run; B_i depends on echoes that are all
-known when a block of steps as long as the shortest delay starts, so a
-block's B_i, with the cubic interpolation of the echo at the RK half
-stages, are whole-array operations.  Only the scalar recurrence is a
-Python loop.
+Each equation is linear and its forcing was emitted at least one shortest
+delay earlier, so over a block of steps that long all but the RK4 stages
+of c are whole-array operations; those stages stay a Python loop, rounded
+exactly as a step-at-a-time integrator rounds them.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import LinkParams, PulseProfile, TimeGrid, Trajectory, TWO_PI, eval_pulse
+from .core import LinkParams, PulseProfile, TimeGrid, Trajectory, eval_pulse, phase_factor
 
 # cubic Lagrange weights for a value midway between stencil nodes
 # rows: delayed point between nodes (S, S+1), (S+1, S+2), (S+2, S+3)
@@ -45,112 +41,121 @@ _HALF_W = np.array((
 _NORM_SLACK = 1e-9
 
 
-def _half_nodes(E: np.ndarray) -> np.ndarray:
-    """Values midway between the nodes of one smooth piece E[:, 0..P].
+def _stencil(w, nodes):
+    """Cubic interpolation w[0] x0 + w[1] x1 + w[2] x2 + w[3] x3, summed left to right."""
+    return w[0] * nodes[0] + w[1] * nodes[1] + w[2] * nodes[2] + w[3] * nodes[3]
 
-    Each comes from the cubic through four consecutive nodes of the piece,
-    centred where it can be, so no stencil bridges a derivative kink.
-    """
-    w0, w1 = _HALF_W[1, :2]
-    mid = w1 * (E[:, 1:-2] + E[:, 2:-1]) + w0 * (E[:, :-3] + E[:, 3:])
-    return np.concatenate((E[:, :4] @ _HALF_W[0, :, None], mid,
-                           E[:, -4:] @ _HALF_W[2, :, None]), axis=1)
+
+def _cmul(z, w):
+    """z * w rounded as Python rounds it; numpy may fuse complex multiply-adds."""
+    if np.isrealobj(z):  # a real factor rounds the same either way
+        return z * w
+    out = np.empty(np.broadcast(z, w).shape, dtype=complex)
+    out.real = z.real * w.real - z.imag * w.imag
+    out.imag = z.real * w.imag + z.imag * w.real
+    return out
 
 
 def _check_norm(c: np.ndarray) -> None:
-    worst = float(np.max(np.sum(np.abs(c) ** 2, axis=0)))
-    if not math.isfinite(worst):
+    excess = float(np.max(np.sum(np.abs(c) ** 2, axis=0))) - 1.0
+    if not math.isfinite(excess):
         raise RuntimeError("non-finite amplitude; check the couplings for NaN or inf")
-    if worst > 1.0 + _NORM_SLACK:
-        raise RuntimeError(
-            f"single-excitation norm exceeded 1 by {worst - 1.0:.3e}; grid too coarse"
-        )
+    if excess > _NORM_SLACK:
+        raise RuntimeError(f"single-excitation norm exceeded 1 by {excess:.3e}; grid too coarse")
 
 
 def _check_initial(c0) -> tuple:
-    """Initial amplitudes as complex numbers: finite, norm at most 1."""
-    c0 = tuple(complex(z) for z in c0)
+    """Initial amplitudes, finite and of norm at most 1; -0 parts read +0."""
+    c0 = tuple(complex(z) + 0.0 for z in c0)
     norm = sum(abs(z) ** 2 for z in c0)
-    if not math.isfinite(norm):
-        raise ValueError(f"initial amplitudes must be finite, got {c0!r}")
-    if norm > 1.0 + _NORM_SLACK:
-        raise ValueError("initial amplitudes exceed the single-excitation sector")
+    if not (math.isfinite(norm) and norm <= 1.0 + _NORM_SLACK):
+        raise ValueError(f"initial amplitudes must be finite with norm <= 1, got {c0!r}")
     return c0
+
+
+def _rk4_steps(y, a, ah, f, fh, h):
+    """Real RK4 steps of dy/dt = a y + f from y; ah and fh at the midpoints."""
+    half, sixth = 0.5 * h, h / 6.0
+    out = []
+    for a0, a_h, a_1, f0, f_h, f1 in zip(a, ah, a[1:], f, fh, f[1:]):
+        k1 = a0 * y + f0
+        k2 = a_h * (y + half * k1) + f_h
+        k3 = a_h * (y + half * k2) + f_h
+        k4 = a_1 * (y + h * k3) + f1
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        out.append(y)
+    return out
 
 
 def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
                      big_phi: float) -> Trajectory:
     """RK4 over the method-of-steps grid for one emitter or a pair, by blocks.
 
-    Each emitter hears its own echo R steps back with phase e^{i big_phi};
-    in a pair it also hears its partner's echo M = steps_per_tau steps back
-    with phase e^{i big_phi/2}.  Kinks sit every P steps, P the shortest
-    delay (M for a pair, R for one emitter).  R and M are multiples of P,
-    so over a block [k, k + P] each emitter hears one smooth piece of echo,
-    all of it emitted by t_k.
-
-    For dc/dt = a c + F with a = -gamma/2 and F = -sqrt(gamma) E, E the
-    heard echo, one RK4 step is exactly c_{i+1} = A_i c_i + B_i with
-    A_i = 1 + u_i a(t_i) + v_i a(t_i + h/2) + (h/6) a(t_{i+1}) and B_i the
-    same weighted sum of F.  A_i - 1 (kept apart from the 1, whose rounding
-    would bias every step alike) and the weights come once per run.  Per
-    block, as (emitters, steps) arrays: E at the nodes, from contiguous
-    slices of the history; E midway between them, by _half_nodes; and B_i.
-    A Python loop then runs the recurrence across the block, and the
-    recursion b(t) = sqrt(gamma) c + e^{i big_phi} b(t - R) extends the
-    echo history from the block's amplitudes.
-
-    The history is padded with R zeros for t < 0 and kept twice: b holds
-    node values (right limits, returned as b_out) and bm left limits, with
-    bm = 0 at t = 0-.  They differ only on multiples of R, where the
-    turn-on jump replays; the top node of a piece, which a block's last
-    step ends on, reads bm.
+    Each emitter hears its own echo R steps back with phase e^{i big_phi}
+    and, in a pair, its partner's M = steps_per_tau steps back with
+    e^{i big_phi/2}.  Kinks sit every P steps, P the shortest delay (M for
+    a pair, R alone), so a P-step block hears one smooth piece of echo, all
+    emitted before the block.  The history is padded with R zeros for t < 0
+    and kept three ways: b (right limits, returned as b_out), bh (half
+    nodes) and bm (left limits, 0 at t = 0-); b and bm differ only on
+    multiples of R, where the turn-on jump replays, so a stencil's top node
+    and a block's end read bm.  A lone emitter's phase rides on its
+    coupling, (-sqrt(gamma) e^{i Phi}) b.
     """
     L = len(pulses)
     h, N, M = grid.h, grid.n_steps, grid.steps_per_tau
     P = M if L == 2 else R
     cross = R - M  # shift from an emitter's own echo to its partner's
-    e_self = complex(np.exp(1j * math.fmod(big_phi, TWO_PI)))
-    e_cross = complex(np.exp(1j * math.fmod(0.5 * big_phi, TWO_PI)))
+    e_self, e_cross = phase_factor(big_phi), phase_factor(0.5 * big_phi)
 
     t = grid.times()
     gamma = np.array([eval_pulse(p, t) for p in pulses], dtype=float)
     gh = np.array([eval_pulse(p, t[:-1] + 0.5 * h) for p in pulses], dtype=float)
     sg = np.sqrt(gamma)
-    a, ah = -0.5 * gamma, -0.5 * gh
-    hah, ha1 = 0.5 * h * ah, h * a[:, 1:]
-    u = h / 6.0 * (1.0 + hah * (2.0 + hah * (2.0 + ha1)))
-    v = h / 6.0 * (4.0 + 2.0 * hah + ha1 * (1.0 + hah))
-    decay = (u * a[:, :-1] + v * ah + h / 6.0 * a[:, 1:]).tolist()  # A_i - 1
-    # B_i = U_i E(t_i) + V_i E(t_i + h/2) + W_i E(t_{i+1})
-    U, V, W = -u * sg[:, :-1], -v * np.sqrt(gh), -h / 6.0 * sg[:, 1:]
+    lone = 1.0 if L == 2 else e_self
+    coupling, coupling_h = -sg * lone, -np.sqrt(gh) * lone
+    a, ah = (-0.5 * gamma).tolist(), (-0.5 * gh).tolist()
 
     c = np.zeros((L, N + 1), dtype=complex)
     c[:, 0] = c0
-    hist = np.zeros((2, L, R + N + 1), dtype=complex)  # right limits b, left limits bm
-    hist[0, :, R] = sg[:, 0] * c[:, 0]
-
-    def heard(j, n):
-        """Echo heard at nodes j - R .. j - R + n - 1, from b and from bm."""
-        own = e_self * hist[:, :, j:j + n]
-        return own if L == 1 else own + e_cross * hist[:, ::-1, j + cross:j + cross + n]
+    hist = np.zeros((3, L, R + N + 1), dtype=complex)  # b, bh, bm
+    b, bh, bm = hist
+    b[:, R] = sg[:, 0] * c[:, 0]
 
     for k in range(0, N, P):
         n = min(P, N - k)
-        E, Em = heard(k, P + 1)
-        E[:, P] = Em[:, P]  # a block's last step ends on a left limit
-        B = (U[:, k:k + n] * E[:, :n] + V[:, k:k + n] * _half_nodes(E)[:, :n]
-             + W[:, k:k + n] * E[:, 1:n + 1])
+        # the echo piece [k - P, k] has closed: fill its half nodes, centred
+        # cubics inside, and at either end the cubic through the end nodes
+        p = k - P + R
+        nodes = (b[:, p:p + P - 2], b[:, p + 1:p + P - 1], b[:, p + 2:p + P],
+                 bm[:, p + 3:p + P + 1])
+        bh[:, p + 1:p + P - 1] = _stencil(_HALF_W[1], nodes)
+        bh[:, p:p + P:P - 1] = _stencil(_HALF_W[::2].T, [x[:, ::P - 3] for x in nodes])
+        # echo heard from b, bh and bm; a step ends where the next starts,
+        # on b, but the block's last ends on a left limit
+        E = hist[:, :, k:k + n + 1]
+        if L == 2:
+            E = _cmul(e_self, E) + _cmul(e_cross, hist[:, ::-1, k + cross:k + cross + n + 1])
+        F = _cmul(coupling[:, k:k + n + 1], E[0])
+        F[:, n] = _cmul(coupling[:, k + n], E[2, :, n])
+        Fh = _cmul(coupling_h[:, k:k + n], E[1, :, :n])
         for l in range(L):
-            y = complex(c[l, k])
-            c[l, k + 1:k + n + 1] = [y := y + (d * y + f)
-                                     for d, f in zip(decay[l][k:k + n], B[l].tolist())]
+            # Real coefficients step the real and imaginary parts apart, as
+            # Python's complex a * y does but for signed zeros (0 * y.imag)
+            # that matter only to a part at -0, which c0 rules out; a part
+            # at +0 with no forcing stays at +0.
+            y, out = complex(c[l, k]), c[l, k + 1:k + n + 1]
+            for part, y0, f, fh in ((out.real, y.real, F[l].real, Fh[l].real),
+                                    (out.imag, y.imag, F[l].imag, Fh[l].imag)):
+                if y0 or f.any() or fh.any():
+                    part[:] = _rk4_steps(y0, a[l][k:k + n + 1], ah[l][k:k + n],
+                                         f.tolist(), fh.tolist(), h)
         x = sg[:, k + 1:k + n + 1] * c[:, k + 1:k + n + 1]
-        hist[:, :, k + 1 + R:k + n + 1 + R] = x + e_self * hist[:, :, k + 1:k + n + 1]
+        hist[::2, :, k + 1 + R:k + n + 1 + R] = x + _cmul(e_self, hist[::2, :, k + 1:k + n + 1])
 
     _check_norm(c)
     return Trajectory(grid=grid, link=link, c=c, gamma_samples=gamma,
-                      b_out=hist[0, :, R:], echo_delay_steps=R, echo_phase=big_phi)
+                      b_out=b[:, R:].copy(), echo_delay_steps=R, echo_phase=big_phi)
 
 
 def evolve_pair(link: LinkParams, pulse1: PulseProfile, pulse2: PulseProfile,
@@ -158,10 +163,8 @@ def evolve_pair(link: LinkParams, pulse1: PulseProfile, pulse2: PulseProfile,
     """Integrate the two-emitter DDE from initial amplitudes c0 = (c1, c2)."""
     c0 = _check_initial((c0[0], c0[1]))
     M = grid.steps_per_tau
-    if M < 4:
+    if M < 4 or abs(M * grid.h - link.tau) > 1e-12 * link.tau:
         raise ValueError("tau must be a whole number (>= 4) of grid steps")
-    if abs(M * grid.h - link.tau) > 1e-12 * link.tau:
-        raise ValueError("grid is not aligned with the link delay tau")
     return _method_of_steps(link, (pulse1, pulse2), c0, grid, 2 * M, 2.0 * link.phi)
 
 
@@ -183,6 +186,7 @@ def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
     if R < 4 or abs(R * h - t_rt) > 1e-9 * t_rt:
         raise ValueError("round-trip time must be a whole number (>= 4) of grid steps")
     return _method_of_steps(link, (pulse,), c0, grid, R, big_phi)
+
 
 def output_field(traj: Trajectory, l: int, t: float) -> complex:
     """Echo field b_l^out(t) at a grid point, from the stored recursion."""
@@ -207,7 +211,7 @@ def output_field_sum(traj: Trajectory, l: int, t: float) -> complex:
     while i - n * R >= 0:
         j = i - n * R
         amp = math.sqrt(traj.gamma_samples[l, j]) * traj.c[l, j]
-        total += complex(np.exp(1j * math.fmod(n * phi_e, TWO_PI))) * amp
+        total += phase_factor(phi_e, n) * amp
         n += 1
     return total
 

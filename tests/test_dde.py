@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from shortlink.analytic import SeriesParams, series_solution
 from shortlink.core import (TimeGrid, constant_pulse, eval_pulse, make_grid, make_link,
-                            sin2_pulse, tanh_pulse)
+                            phase_factor, sin2_pulse, tanh_pulse)
 from shortlink.dde import (evolve_pair, evolve_single, output_field,
                            output_field_sum)
 
@@ -22,19 +21,22 @@ def single_run(gamma, phi, t_end=5.0, steps=200):
 def stepwise(pulses, c0, grid, R, big_phi):
     """The method-of-steps RK4 one step and one emitter at a time.
 
-    Reference for the block-vectorized kernel.  Emitter l hears its own
-    history R steps back with e^{i big_phi} and, in a pair, its partner's
-    M = steps_per_tau steps back with e^{i big_phi/2}.  A history is smooth
-    between multiples of P, the shortest delay; a step reads right limits
-    at its start and left limits at its end, and a half-node value comes
-    from the cubic through four nodes of its own piece.
+    Reference for the block-vectorized kernel, with the same arithmetic in
+    the same order, so the two must agree bit for bit.  Emitter l hears its
+    own history R steps back with e^{i big_phi} and, in a pair, its
+    partner's M = steps_per_tau steps back with e^{i big_phi/2}; a lone
+    emitter's phase rides on its coupling.  A history is smooth between
+    multiples of P, the shortest delay; a step reads right limits at its
+    start and left limits at its end, and a half-node value comes from the
+    cubic through four nodes of its own piece.
     """
     L, h, N, M = len(pulses), grid.h, grid.n_steps, grid.steps_per_tau
     P = M if L == 2 else R
     t = grid.times()
-    g = [eval_pulse(p, t) for p in pulses]
-    gh = [eval_pulse(p, t[:-1] + 0.5 * h) for p in pulses]
-    phase = (cmath.exp(1j * big_phi), cmath.exp(0.5j * big_phi))
+    g = [eval_pulse(p, t).tolist() for p in pulses]
+    gh = [eval_pulse(p, t[:-1] + 0.5 * h).tolist() for p in pulses]
+    phase = (phase_factor(big_phi), phase_factor(0.5 * big_phi))
+    lone = 1.0 if L == 2 else phase[0]
     c = [[complex(z)] + [0j] * N for z in c0]
     b = [[math.sqrt(g[l][0]) * c[l][0]] + [0j] * N for l in range(L)]  # right limits
     bm = [[0j] * (N + 1) for _ in range(L)]  # left limits; nothing before t = 0
@@ -52,23 +54,23 @@ def stepwise(pulses, c0, grid, R, big_phi):
         s = lo if j == lo else min(j - 1, lo + P - 3)
         x = j - s + 0.5
         w = [math.prod((x - m) / (q - m) for m in range(4) if m != q) for q in range(4)]
-        return sum(w[q] * (left if s + q == lo + P else right)(l, s + q) for q in range(4))
+        v = [w[q] * (left if s + q == lo + P else right)(l, s + q) for q in range(4)]
+        return v[0] + v[1] + v[2] + v[3]
 
     def echo(l, look, j):
-        e = phase[0] * look(l, j - R)
-        return e + phase[1] * look(1 - l, j - M) if L == 2 else e
-
-    def rhs(gam, y, e):
-        return -0.5 * gam * y - math.sqrt(gam) * e
+        e = look(l, j - R)
+        return phase[0] * e + phase[1] * look(1 - l, j - M) if L == 2 else e
 
     for i in range(N):
         for l in range(L):
             y = c[l][i]
-            e0, eh, e1 = echo(l, right, i), echo(l, half, i), echo(l, left, i + 1)
-            k1 = rhs(g[l][i], y, e0)
-            k2 = rhs(gh[l][i], y + 0.5 * h * k1, eh)
-            k3 = rhs(gh[l][i], y + 0.5 * h * k2, eh)
-            k4 = rhs(g[l][i + 1], y + h * k3, e1)
+            A0, Ah, A1 = (-math.sqrt(x) * lone for x in (g[l][i], gh[l][i], g[l][i + 1]))
+            F0, Fh, F1 = A0 * echo(l, right, i), Ah * echo(l, half, i), A1 * echo(l, left, i + 1)
+            a0, ah, a1 = -0.5 * g[l][i], -0.5 * gh[l][i], -0.5 * g[l][i + 1]
+            k1 = a0 * y + F0
+            k2 = ah * (y + 0.5 * h * k1) + Fh
+            k3 = ah * (y + 0.5 * h * k2) + Fh
+            k4 = a1 * (y + h * k3) + F1
             c[l][i + 1] = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
         for l in range(L):
             x = math.sqrt(g[l][i + 1]) * c[l][i + 1]
@@ -77,23 +79,31 @@ def stepwise(pulses, c0, grid, R, big_phi):
     return np.array(c), np.array(b)
 
 
+def assert_same_bits(x, y):
+    """Equal bit for bit, signed zeros included."""
+    np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
 class TestBlockKernel:
     def test_matches_stepwise_reference(self):
-        # shaped pulses, delays of 20 and 50 steps, runs ending mid-block
-        link = make_link(0.8, 0.7, 1.1 / 0.7)
+        # shaped pulses, delays of 20 and 50 steps, runs ending mid-block;
+        # complex and real dynamics, and a -0 initial part, which reads +0
         grid = make_grid(0.7, 3.33, 50)
         p1, p2 = tanh_pulse(0.8, 1.2, (0.0, 3.33)), sin2_pulse(0.8, 3.33, mirror=True)
-        pair = evolve_pair(link, p1, p2, (0.6, 0.8j), grid)
-        c, b = stepwise((p1, p2), (0.6, 0.8j), grid, 100, 2.0 * link.phi)
-        np.testing.assert_allclose(pair.c, c, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pair.b_out, b, rtol=0, atol=1e-12)
+        for phi, c0 in [(1.1, (0.6, 0.8j)), (1.1, (1.0, 0.0)), (0.0, (1.0, 0.0)),
+                        (0.0, (0.6, -0.8j))]:
+            link = make_link(0.8, 0.7, phi / 0.7)
+            pair = evolve_pair(link, p1, p2, c0, grid)
+            c, b = stepwise((p1, p2), [complex(z) + 0.0 for z in c0], grid, 100, 2.0 * link.phi)
+            assert_same_bits(pair.c, c)
+            assert_same_bits(pair.b_out, b)
         grid = make_grid(1.0, 4.1, 20)
         for round_trip in [(1.0, 2.3), (2.0, 0.0)]:
             single = evolve_single(make_link(0.8, 1.0, 0.0), p1, 0.6 + 0.8j, grid,
                                    round_trip=round_trip)
             c, b = stepwise((p1,), (0.6 + 0.8j,), grid, int(20 * round_trip[0]), round_trip[1])
-            np.testing.assert_allclose(single.c, c, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(single.b_out, b, rtol=0, atol=1e-12)
+            assert_same_bits(single.c, c)
+            assert_same_bits(single.b_out, b)
 
 
 class TestSingleEmitter:
@@ -103,8 +113,12 @@ class TestSingleEmitter:
         np.testing.assert_allclose(traj.c[0], np.exp(-0.2 * t), rtol=1e-10)
 
     def test_matches_series_solution(self):
-        for gamma, phi in [(0.05, 0.0), (0.5, 1.3), (2.0, 4.0)]:
-            traj, grid = single_run(gamma, phi, t_end=8.0)
+        # t_end = 5.37 at 100 steps per delay ends 37 steps into a block
+        for gamma, phi, t_end, steps, tail in [(0.05, 0.0, 8.0, 200, 0), (0.5, 1.3, 8.0, 200, 0),
+                                               (2.0, 4.0, 8.0, 200, 0), (0.5, 1.3, 5.37, 100, 37),
+                                               (1.7, 0.4, 5.37, 100, 37)]:
+            traj, grid = single_run(gamma, phi, t_end=t_end, steps=steps)
+            assert grid.n_steps % steps == tail
             p = SeriesParams(gamma=gamma, delay=1.0, phi=phi)
             exact = np.array([series_solution(p, t) for t in grid.times()])
             assert np.max(np.abs(traj.c[0] - exact)) < 1e-7
@@ -120,15 +134,6 @@ class TestSingleEmitter:
         order1 = math.log2(errs[0] / errs[1])
         order2 = math.log2(errs[1] / errs[2])
         assert order1 > 3.5 and order2 > 3.5
-
-    def test_matches_series_solution_off_block_boundary(self):
-        # t_end = 5.37 at 100 steps per delay ends 37 steps into a block
-        for gamma, phi in [(0.5, 1.3), (1.7, 0.4)]:
-            traj, grid = single_run(gamma, phi, t_end=5.37, steps=100)
-            assert grid.n_steps % 100 == 37
-            p = SeriesParams(gamma=gamma, delay=1.0, phi=phi)
-            exact = np.array([series_solution(p, t) for t in grid.times()])
-            assert np.max(np.abs(traj.c[0] - exact)) < 1e-7
 
     def test_non_finite_input_rejected(self):
         link = make_link(0.1, 1.0, 0.0)
@@ -213,32 +218,26 @@ class TestTwoEmitters:
 
     def test_sector_identity(self):
         # with equal couplings c1 +- c2 each follow a one-delay single-emitter
-        # DDE, round trip (tau, phi) for + and (tau, phi + pi) for -; this
-        # checks the cross-echo term against an independent route
-        for gamma, phi, steps, t_end in [(0.5, 0.0, 200, 12.0), (0.2, 1.1, 50, 8.3),
-                                         (2.0, 4.0, 100, 6.0)]:
+        # DDE, round trip (tau, phi) for + and (tau, phi + pi) for -, for any
+        # common gamma(t); this checks the cross-echo term against an
+        # independent route.  t_end = 7.3 at 200 steps per tau ends 60 steps
+        # into a block
+        const = lambda g, t_end: constant_pulse(g, (0.0, t_end))
+        for gamma, phi, steps, t_end, tail, pulse, c0 in [
+                (0.5, 0.0, 200, 12.0, 0, const, (1.0, 0.0)),
+                (0.2, 1.1, 50, 8.3, 15, const, (1.0, 0.0)),
+                (2.0, 4.0, 100, 6.0, 0, const, (1.0, 0.0)),
+                (1.2, 0.9, 200, 7.3, 60, sin2_pulse, (0.6, 0.8j))]:
             link = make_link(gamma, 1.0, phi)
             grid = make_grid(1.0, t_end, steps)
-            p = constant_pulse(gamma, (0.0, grid.t_end))
-            pair = evolve_pair(link, p, p, (1.0, 0.0), grid)
-            plus = evolve_single(link, p, 1.0, grid, round_trip=(1.0, phi)).c[0]
-            minus = evolve_single(link, p, 1.0, grid, round_trip=(1.0, phi + math.pi)).c[0]
+            assert grid.n_steps % steps == tail
+            p = pulse(gamma, grid.t_end)
+            pair = evolve_pair(link, p, p, c0, grid)
+            plus, minus = (evolve_single(link, p, c0[0] + s * c0[1], grid,
+                                         round_trip=(1.0, phi + shift)).c[0]
+                           for s, shift in ((1, 0.0), (-1, math.pi)))
             np.testing.assert_allclose(pair.c[0], 0.5 * (plus + minus), rtol=0, atol=1e-12)
             np.testing.assert_allclose(pair.c[1], 0.5 * (plus - minus), rtol=0, atol=1e-12)
-
-    def test_sector_identity_shaped_pulse_partial_block(self):
-        # the sector split holds for any common gamma(t); t_end = 7.3 at 200
-        # steps per tau ends 60 steps into a block
-        gamma, phi = 1.2, 0.9
-        link = make_link(gamma, 1.0, phi)
-        grid = make_grid(1.0, 7.3, 200)
-        assert grid.n_steps % 200 == 60
-        p = sin2_pulse(gamma, grid.t_end)
-        pair = evolve_pair(link, p, p, (0.6, 0.8j), grid)
-        sector = [evolve_single(link, p, 0.6 + s * 0.8j, grid, round_trip=(1.0, phi + shift)).c[0]
-                  for s, shift in ((1, 0.0), (-1, math.pi))]
-        np.testing.assert_allclose(pair.c[0], 0.5 * (sector[0] + sector[1]), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(pair.c[1], 0.5 * (sector[0] - sector[1]), rtol=0, atol=1e-12)
 
     def test_rabi_exchange_time(self):
         # joint oscillation at Omega = sqrt(gamma0/tau): first transfer
