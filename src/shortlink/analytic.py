@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import LinkParams, TWO_PI
+from .core import LinkParams, TWO_PI, phase_factor
 
 _N_MAX_HARD = 500
 
@@ -90,7 +90,7 @@ def series_solution(p: SeriesParams, t: float) -> complex:
             break
         x = -g * dt
         scale = math.exp(-0.5 * g * dt)
-        phase = complex(np.exp(1j * math.fmod(n * p.phi, TWO_PI)))
+        phase = phase_factor(p.phi, n)
         # inner sum over m via the stable term recurrence, pre-scaled
         term = x * scale
         inner = term
@@ -105,7 +105,7 @@ def jump_formula(N: int, gamma: float, phi: float, c0: complex) -> complex:
     """Exact derivative jump of c at the N-th echo arrival: -gamma e^{i N phi} c(0)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    return -gamma * complex(np.exp(1j * math.fmod(N * phi, TWO_PI))) * complex(c0)
+    return -gamma * phase_factor(phi, N) * complex(c0)
 
 
 # ---------------------------------------------------------------------------

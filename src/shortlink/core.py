@@ -6,6 +6,7 @@ All quantities are dimensionless groups built on the traversal time tau
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -61,7 +62,7 @@ def make_link(gamma0: float, tau: float, delta: float) -> LinkParams:
 
 def phase_factor(phi: float, n: int = 1) -> complex:
     """exp(i*n*phi) computed from the argument reduced mod 2*pi."""
-    return complex(np.exp(1j * math.fmod(n * phi, TWO_PI)))
+    return cmath.exp(1j * math.fmod(n * phi, TWO_PI))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ derivative kink) sits on a grid node and no RK4 step straddles one.
 Each equation is linear and its forcing was emitted at least one shortest
 delay earlier, so over a block of steps that long all but the RK4 stages
 of c are whole-array operations; those stages stay a Python loop, rounded
-exactly as a step-at-a-time integrator rounds them.
+exactly as a step-at-a-time integrator rounds them (real parts alone in a
+real problem); a run resumes at the last block it shares with the last run.
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ _HALF_W = np.array((
 
 _NORM_SLACK = 1e-9
 
+# the last run's key, samples per step, c and history; never written once stored
+_last = (None,) * 4
+
 
 def _stencil(w, nodes):
     """Cubic interpolation w[0] x0 + w[1] x1 + w[2] x2 + w[3] x3, summed left to right."""
@@ -48,8 +52,8 @@ def _stencil(w, nodes):
 
 def _cmul(z, w):
     """z * w rounded as Python rounds it; numpy may fuse complex multiply-adds."""
-    if np.isrealobj(z):  # a real factor rounds the same either way
-        return z * w
+    if w.dtype == float or isinstance(z, np.ndarray) and z.dtype == float:
+        return z * w  # a real factor rounds the same either way
     out = np.empty(np.broadcast(z, w).shape, dtype=complex)
     out.real = z.real * w.real - z.imag * w.imag
     out.imag = z.real * w.imag + z.imag * w.real
@@ -101,12 +105,24 @@ def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
     multiples of R, where the turn-on jump replays, so a stencil's top node
     and a block's end read bm.  A lone emitter's phase rides on its
     coupling, (-sqrt(gamma) e^{i Phi}) b.
+
+    If both phases and c0 have +0 imaginary parts (Delta = 0), the arrays
+    are real: the complex route's imaginary parts would all stay +0 (a -0
+    could flip a zero's sign) and its real parts round as these do.  A run
+    with the last run's L, h, R, P, big_phi and c0 copies c and the history
+    up to K, the last block boundary before the first step whose samples
+    changed, and resumes there; nothing before K reads anything else.
     """
+    global _last
     L = len(pulses)
     h, N, M = grid.h, grid.n_steps, grid.steps_per_tau
     P = M if L == 2 else R
     cross = R - M  # shift from an emitter's own echo to its partner's
     e_self, e_cross = phase_factor(big_phi), phase_factor(0.5 * big_phi)
+    real = not any(z.imag or math.copysign(1.0, z.imag) < 0 for z in (e_self, e_cross, *c0))
+    if real:
+        e_self, e_cross, c0 = e_self.real, e_cross.real, tuple(z.real for z in c0)
+    parts = (lambda x: (x,)) if real else (lambda x: (x.real, x.imag))
 
     t = grid.times()
     gamma = np.array([eval_pulse(p, t) for p in pulses], dtype=float)
@@ -116,13 +132,23 @@ def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
     coupling, coupling_h = -sg * lone, -np.sqrt(gh) * lone
     a, ah = (-0.5 * gamma).tolist(), (-0.5 * gh).tolist()
 
-    c = np.zeros((L, N + 1), dtype=complex)
-    c[:, 0] = c0
-    hist = np.zeros((3, L, R + N + 1), dtype=complex)  # b, bh, bm
+    c = np.zeros((L, N + 1), dtype=float if real else complex)
+    hist = np.zeros((3, L, R + N + 1), dtype=c.dtype)  # b, bh, bm
     b, bh, bm = hist
+    key = repr((L, h, R, P, big_phi, c0))  # repr tells -0.0 from 0.0
+    samples = np.concatenate((gamma[:, :-1], gh, gamma[:, 1:]))  # a column per step
+    last_key, last_samples, c_last, hist_last = _last
+    K = 0
+    if key == last_key:
+        changed = (samples[:, :last_samples.shape[1]] != last_samples[:, :N]).any(axis=0)
+        K = np.append(changed, True).argmax() // P * P
+    c[:, 0] = c0
     b[:, R] = sg[:, 0] * c[:, 0]
+    if K:  # resume at the last block boundary before the first changed step
+        c[:, :K + 1] = c_last[:, :K + 1]
+        hist[:, :, :K + R + 1] = hist_last[:, :, :K + R + 1]
 
-    for k in range(0, N, P):
+    for k in range(K, N, P):
         n = min(P, N - k)
         # the echo piece [k - P, k] has closed: fill its half nodes, centred
         # cubics inside, and at either end the cubic through the end nodes
@@ -144,9 +170,9 @@ def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
             # Python's complex a * y does but for signed zeros (0 * y.imag)
             # that matter only to a part at -0, which c0 rules out; a part
             # at +0 with no forcing stays at +0.
-            y, out = complex(c[l, k]), c[l, k + 1:k + n + 1]
-            for part, y0, f, fh in ((out.real, y.real, F[l].real, Fh[l].real),
-                                    (out.imag, y.imag, F[l].imag, Fh[l].imag)):
+            y = complex(c[l, k])
+            for part, y0, f, fh in zip(parts(c[l, k + 1:k + n + 1]), (y.real, y.imag),
+                                       parts(F[l]), parts(Fh[l])):
                 if y0 or f.any() or fh.any():
                     part[:] = _rk4_steps(y0, a[l][k:k + n + 1], ah[l][k:k + n],
                                          f.tolist(), fh.tolist(), h)
@@ -154,8 +180,9 @@ def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
         hist[::2, :, k + 1 + R:k + n + 1 + R] = x + _cmul(e_self, hist[::2, :, k + 1:k + n + 1])
 
     _check_norm(c)
-    return Trajectory(grid=grid, link=link, c=c, gamma_samples=gamma,
-                      b_out=b[:, R:].copy(), echo_delay_steps=R, echo_phase=big_phi)
+    _last = (key, samples, c, hist)
+    return Trajectory(grid=grid, link=link, c=c.astype(complex), gamma_samples=gamma,
+                      b_out=b[:, R:].astype(complex), echo_delay_steps=R, echo_phase=big_phi)
 
 
 def evolve_pair(link: LinkParams, pulse1: PulseProfile, pulse2: PulseProfile,

@@ -81,67 +81,67 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid,
     bit-for-bit.
     """
     c01, c02 = complex(c0[0]), complex(c0[1])
-    if abs(c01) ** 2 + abs(c02) ** 2 > 1.0 + 1e-9:
-        raise ValueError("initial amplitudes exceed the single-excitation sector")
-    nu = modes.omegas - link.delta
+    if not abs(c01) ** 2 + abs(c02) ** 2 <= 1.0 + 1e-9:  # NaN fails too
+        raise ValueError("initial amplitudes must be finite with norm <= 1 "
+                         f"(the single-excitation sector), got {(c01, c02)!r}")
+    i_nu = -1j * (modes.omegas - link.delta)
     h = grid.h
-    if h * float(np.max(np.abs(nu))) > _MAX_PHASE_STEP:
+    if h * float(np.max(np.abs(i_nu))) > _MAX_PHASE_STEP:
         raise ValueError(
             "grid too coarse for this mode ladder: need h * max|omega_k - Delta| <= 0.5"
         )
     N = grid.n_steps
     t_nodes = grid.times()
-    pulse1, pulse2 = pulses
-    g1_n = np.asarray(eval_pulse(pulse1, t_nodes), dtype=float)
-    g2_n = np.asarray(eval_pulse(pulse2, t_nodes), dtype=float)
-    g1_h = np.asarray(eval_pulse(pulse1, t_nodes[:-1] + 0.5 * h), dtype=float)
-    g2_h = np.asarray(eval_pulse(pulse2, t_nodes[:-1] + 0.5 * h), dtype=float)
+    gamma = np.array([eval_pulse(p, t_nodes) for p in pulses], dtype=float)
     scale = 1.0 / math.sqrt(2.0 * link.tau)
+    g_n = (scale * np.sqrt(gamma)).T  # (g1, g2) at each node
+    g_h = (scale * np.sqrt([eval_pulse(p, t_nodes[:-1] + 0.5 * h) for p in pulses])).T
     s = modes.parity
 
     snap_idx = {grid.index_of(ts): ts for ts in snapshot_times}
 
-    c1 = np.empty(N + 1, dtype=complex)
-    c2 = np.empty(N + 1, dtype=complex)
+    c = np.empty((2, N + 1), dtype=complex)
     photon = np.empty(N + 1)
-    c1[0], c2[0] = c01, c02
+    c[:, 0] = c01, c02
     alpha = np.zeros(modes.n_modes, dtype=complex)
     photon[0] = float(np.sum(np.abs(alpha) ** 2))
     snapshots = {}
 
-    def rhs(phase, a, x1, x2, g1, g2):
-        # phase = e^{-i nu t}; returns (dc1, dc2, dalpha)
-        pa = phase * a
+    def phases(t):
+        ph = np.exp(i_nu * t)
+        return ph, -1j * np.conj(ph)
+
+    def rhs(ph, back, a, x1, x2, g1, g2):
+        # ph = e^{-i nu t}, back = -i e^{+i nu t}; returns (dc1, dc2, dalpha)
+        pa = ph * a
         dc1 = -1j * g1 * np.sum(pa)
         dc2 = -1j * g2 * np.sum(s * pa)
-        da = -1j * np.conj(phase) * (g1 * x1 + g2 * x2 * s)
+        da = back * (g1 * x1 + g2 * x2 * s)
         return dc1, dc2, da
 
     for i in range(N):
         t0 = t_nodes[i]
-        ph0 = np.exp(-1j * nu * t0)
-        phh = np.exp(-1j * nu * (t0 + 0.5 * h))
-        ph1 = np.exp(-1j * nu * (t0 + h))
-        ga = (scale * math.sqrt(g1_n[i]), scale * math.sqrt(g2_n[i]))
-        gh = (scale * math.sqrt(g1_h[i]), scale * math.sqrt(g2_h[i]))
-        gb = (scale * math.sqrt(g1_n[i + 1]), scale * math.sqrt(g2_n[i + 1]))
+        # a step starts where the last ended unless i h rounds differently
+        ph0 = ph1 if i and t0 == t_nodes[i - 1] + h else phases(t0)
+        phh = phases(t0 + 0.5 * h)
+        ph1 = phases(t0 + h)
+        ga, gh, gb = g_n[i].tolist(), g_h[i].tolist(), g_n[i + 1].tolist()
 
-        x1, x2, a = c1[i], c2[i], alpha
-        k1 = rhs(ph0, a, x1, x2, *ga)
-        k2 = rhs(phh, a + 0.5 * h * k1[2], x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], *gh)
-        k3 = rhs(phh, a + 0.5 * h * k2[2], x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], *gh)
-        k4 = rhs(ph1, a + h * k3[2], x1 + h * k3[0], x2 + h * k3[1], *gb)
-        c1[i + 1] = x1 + (h / 6.0) * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        c2[i + 1] = x2 + (h / 6.0) * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        x1, x2, a = c[0, i], c[1, i], alpha
+        k1 = rhs(*ph0, a, x1, x2, *ga)
+        k2 = rhs(*phh, a + 0.5 * h * k1[2], x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], *gh)
+        k3 = rhs(*phh, a + 0.5 * h * k2[2], x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], *gh)
+        k4 = rhs(*ph1, a + h * k3[2], x1 + h * k3[0], x2 + h * k3[1], *gb)
+        c[0, i + 1] = x1 + (h / 6.0) * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        c[1, i + 1] = x2 + (h / 6.0) * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         alpha = a + (h / 6.0) * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
         photon[i + 1] = float(np.sum(np.abs(alpha) ** 2))
         if i + 1 in snap_idx:
             snapshots[snap_idx[i + 1]] = alpha.copy()
 
-    c = np.array([c1, c2])
     return WWTrajectory(
         grid=grid, link=link, c=c,
-        gamma_samples=np.array([g1_n, g2_n]),
+        gamma_samples=gamma,
         b_out=np.zeros_like(c), echo_delay_steps=2 * grid.steps_per_tau,
         echo_phase=2.0 * link.phi,
         photon=photon, modes=modes, alpha_final=alpha, alpha_snapshots=snapshots,

@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from shortlink import dde
 from shortlink.analytic import SeriesParams, series_solution
 from shortlink.core import (TimeGrid, constant_pulse, eval_pulse, make_grid, make_link,
-                            phase_factor, sin2_pulse, tanh_pulse)
+                            phase_factor, sampled_pulse, sin2_pulse, tanh_pulse)
 from shortlink.dde import (evolve_pair, evolve_single, output_field,
                            output_field_sum)
 
@@ -104,6 +107,124 @@ class TestBlockKernel:
             c, b = stepwise((p1,), (0.6 + 0.8j,), grid, int(20 * round_trip[0]), round_trip[1])
             assert_same_bits(single.c, c)
             assert_same_bits(single.b_out, b)
+
+
+@pytest.fixture
+def rk4_steps(monkeypatch):
+    """Steps the kernel takes, one per real or imaginary part stepped."""
+    count = [0]
+    step = dde._rk4_steps
+
+    def counted(y, a, *rest):
+        count[0] += len(a) - 1
+        return step(y, a, *rest)
+
+    monkeypatch.setattr(dde, "_rk4_steps", counted)
+    return count
+
+
+def cold(run):
+    """run() with no earlier run to resume from."""
+    dde._last = (None,) * 4
+    return run()
+
+
+class TestResume:
+    def test_warm_runs_equal_cold_runs(self, rk4_steps):
+        # SWAP durations ascending, then interleaved and repeated; shaped
+        # pulses; pairs and lone emitters; real and complex problems
+        def run(g, T, phi=0.0, c0=(1.0, 0.0), shape="constant", lone=False, steps=50):
+            link = make_link(g, 1.0, phi)
+            grid = make_grid(1.0, T, steps)
+            p = {"constant": constant_pulse(g, (0.0, T)), "sin2": sin2_pulse(g, T),
+                 "tanh": tanh_pulse(g, 0.4 * T, (0.0, T))}[shape]
+            if lone:
+                return lambda: evolve_single(link, p, c0[0], grid, round_trip=(1.0, phi))
+            return lambda: evolve_pair(link, p, p, c0, grid)
+
+        runs = [run(0.5, T) for T in (2.2, 2.6, 3.0, 3.4, 3.13, 2.61, 3.4, 3.0)]
+        runs += [run(0.5, T, shape=s) for T in (4.0, 4.3, 4.3) for s in ("sin2", "tanh")]
+        runs += [run(0.8, T, lone=True, steps=20) for T in (3.0, 3.7, 3.7, 5.05)]
+        runs += [run(0.5, T, phi=phi) for T, phi in ((2.2, 0.7), (3.1, 0.7), (3.1, 1.1))]
+        runs += [run(0.5, T, c0=(0.6, 0.8j)) for T in (2.2, 3.1, 2.9)]
+        runs += [run(0.8, T, phi=1.9, c0=(0.6j, 0.0), lone=True, steps=20) for T in (3.0, 4.0)]
+        rk4_steps[0] = 0
+        warm = [r() for r in runs]
+        warm_steps, rk4_steps[0] = rk4_steps[0], 0
+        for r, w in zip(runs, warm):
+            c = cold(r)
+            for x, y in ((w.c, c.c), (w.b_out, c.b_out), (w.gamma_samples, c.gamma_samples)):
+                assert x.dtype == y.dtype and x.flags.owndata
+                assert_same_bits(x, y)
+        assert warm_steps < 0.7 * rk4_steps[0]  # 0.64 measured
+
+    def test_changed_sample_stops_reuse(self, rk4_steps):
+        # pulses sampled at the nodes and half nodes; sample m = 2j changes
+        # node j, m = 2j + 1 half node j, and the run resumes from the last
+        # block boundary K with nodes [0, K] and half nodes [0, K) unchanged
+        link = make_link(0.6, 1.0, 0.0)
+        grid = make_grid(1.0, 6.0, 40)
+        t = np.arange(2 * grid.n_steps + 1) * (0.5 * grid.h)
+        v = 0.5 + 0.1 * np.sin(t)
+        for m in (194, 240, 241, 242, 281, 400):
+            w = v.copy()
+            w[m] += 1e-3
+            run = lambda g: evolve_pair(link, sampled_pulse(t, g), sampled_pulse(t, g),
+                                        (0.6, 0.8), grid)
+            c = cold(lambda: run(w))
+            run(v)
+            rk4_steps[0] = 0
+            warm = run(w)
+            assert rk4_steps[0] == 2 * (grid.n_steps - (m - 1) // 2 // 40 * 40)
+            assert_same_bits(warm.c, c.c)
+            assert_same_bits(warm.b_out, c.b_out)
+
+    def test_threads_resume_from_each_others_runs(self):
+        # more threads than cores, switching often, each running the same
+        # calls in its own order: every result must still be the cold one
+        link = make_link(0.5, 1.0, 0.0)
+        calls = [lambda T=T, c0=c0: evolve_pair(link, constant_pulse(0.5, (0.0, T)),
+                                                constant_pulse(0.5, (0.0, T)), c0,
+                                                make_grid(1.0, T, 20))
+                 for T in (2.0, 2.5, 3.0, 3.5, 4.0) for c0 in ((1.0, 0.0), (0.6, 0.8j))]
+        expected = [cold(f).c for f in calls]
+        wrong = []
+
+        def worker(seed):
+            try:
+                for i in np.random.default_rng(seed).permutation(len(calls)).tolist() * 10:
+                    if not np.array_equal(calls[i]().c.view(np.uint64),
+                                          expected[i].view(np.uint64)):
+                        wrong.append(i)
+            except Exception as exc:  # a torn read of the slot may raise instead
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
+
+    def test_imaginary_start_is_i_times_real_run(self):
+        # phi = 0 and c0 = (1j, 0): the complex route steps only imaginary
+        # parts, with the real route's arithmetic
+        link = make_link(0.7, 1.0, 0.0)
+        grid = make_grid(1.0, 4.3, 50)
+        p1, p2 = sin2_pulse(0.7, 4.3), sin2_pulse(0.7, 4.3, mirror=True)
+        re = evolve_pair(link, p1, p2, (1.0, 0.0), grid)
+        im = evolve_pair(link, p1, p2, (1j, 0.0), grid)
+        assert np.array_equal(im.c, 1j * re.c)
+        assert np.array_equal(im.b_out, 1j * re.b_out)
+        re = evolve_single(link, p1, 1.0, grid)
+        im = evolve_single(link, p1, 1j, grid)
+        assert np.array_equal(im.c, 1j * re.c)
 
 
 class TestSingleEmitter:

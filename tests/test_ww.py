@@ -76,6 +76,9 @@ class TestEvolveWW:
         p = constant_pulse(0.1, (0.0, 1.0))
         with pytest.raises(ValueError, match="single-excitation"):
             evolve_ww(link, build_modes(link, 5), (p, p), (1.0, 0.9), grid)
+        for c0 in ((math.nan, 0.0), (0.5, complex(0.0, math.inf))):
+            with pytest.raises(ValueError, match="finite"):
+                evolve_ww(link, build_modes(link, 5), (p, p), c0, grid)
 
     def test_snapshots_and_photon_number(self):
         link = make_link(0.2, 1.0, 50 * math.pi)
