@@ -15,13 +15,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analytic import eigenfrequencies, output_spectrum
+from .analytic import eigenfrequencies, spectrum_scan
 from .core import constant_pulse, make_grid, make_link
 from .dde import evolve_pair, evolve_single
 from .io import write_csv, write_json
 from .protocols import (ProtocolSpec, dark_bright, make_pulses, run_protocol)
-from .sweep import (crossover, error_vs_duration, loss_scan, optimal_stirap,
-                    optimal_swap, scan_protocols)
+from .sweep import (ScanRecord, crossover, error_vs_duration, loss_scan,
+                    optimal_stirap, optimal_swap, scan_protocols)
 from .ww import build_modes, evolve_ww
 
 
@@ -31,10 +31,8 @@ def _meta(**extra):
     return m
 
 
-def _steps_for_modes(delta, n_modes, requested):
+def _steps_for_modes(modes, delta, requested):
     """Step density fine enough for the widest detuned mode in the ladder."""
-    link = make_link(1.0, 1.0, delta)
-    modes = build_modes(link, n_modes)
     nu_max = float(np.max(np.abs(modes.omegas - delta)))
     needed = int(math.ceil(nu_max / 0.5)) + 1
     # keep the refined grid an integer multiple of the requested density so
@@ -55,17 +53,14 @@ def cmd_simulate(args) -> int:
     cols.append("dpop1_dt")
     data.append(np.gradient(traj.populations()[0], grid.h))
     if args.ww:
-        M = _steps_for_modes(link.delta, args.n_modes, args.steps_per_tau)
+        modes = build_modes(link, args.n_modes)
+        M = _steps_for_modes(modes, link.delta, args.steps_per_tau)
         wgrid = make_grid(1.0, args.t_end, M)
         wpulse = constant_pulse(args.gamma_tau, (0.0, wgrid.t_end))
-        modes = build_modes(link, args.n_modes)
-        c0 = (1.0, 0.0)
         ww = evolve_ww(link, modes, (wpulse, wpulse) if args.emitters == 2
                        else (wpulse, constant_pulse(0.0, (0.0, wgrid.t_end))),
-                       c0, wgrid)
-        stride = M // args.steps_per_tau if M % args.steps_per_tau == 0 else None
-        if stride is None:
-            raise SystemExit("--ww step refinement incompatible with --steps-per-tau")
+                       (1.0, 0.0), wgrid)
+        stride = M // args.steps_per_tau
         wp = ww.populations()[:, ::stride][:, : len(traj.t)]
         cols += ["ww_pop1", "ww_pop2", "ww_n_photon"]
         data += [wp[0], wp[1], ww.photon[::stride][: len(traj.t)]]
@@ -88,15 +83,13 @@ def cmd_spectrum(args) -> int:
     else:
         deltas = list(np.linspace(d0, d0 + math.pi, args.delta_steps))
     omegas = np.linspace(d0 - 0.5 * math.pi, d0 + 1.5 * math.pi, args.omega_steps)
-    rows = []
-    eigen_rows = []
-    for d in deltas:
-        link = make_link(gamma, 1.0, d)
-        res = output_spectrum(link, omegas, broadening=args.broadening)
-        rows.extend((d / math.pi, w / math.pi, p)
-                    for w, p in zip(res.omegas, res.spectrum))
-        eigen_rows.extend((d / math.pi, lam / math.pi)
-                          for lam in eigenfrequencies(link, (omegas[0], omegas[-1])))
+    rows = spectrum_scan(gamma, 1.0, deltas, omegas, args.broadening)
+    # rescale in place: a second copy of the heatmap would raise peak memory
+    for i, (d, w, p) in enumerate(rows):
+        rows[i] = (d / math.pi, w / math.pi, p)
+    eigen_rows = [(d / math.pi, lam / math.pi) for d in deltas
+                  for lam in eigenfrequencies(make_link(gamma, 1.0, d),
+                                              (omegas[0], omegas[-1]))]
     meta = _meta(gamma_tau=gamma, broadening=args.broadening)
     if args.format == "json":
         write_json(args.out, {"meta": meta,
@@ -115,6 +108,8 @@ def cmd_protocol(args) -> int:
     g = args.gamma_tau
     link = make_link(g, 1.0, 0.0)
     if args.scan_t:
+        if not args.t_step > 0:
+            raise ValueError(f"--t-step must be > 0, got {args.t_step}")
         t_lo = args.t_min if args.t_min is not None else 2.0
         t_hi = args.t_max if args.t_max is not None else 2.0 * math.pi / math.sqrt(g)
         Ts = np.arange(t_lo, t_hi + 1e-9, args.t_step)
@@ -173,7 +168,6 @@ def cmd_scan(args) -> int:
                 records.append(recs[0])
             except Exception as exc:  # keep scanning, flag the row
                 status = 1
-                from .sweep import ScanRecord
                 records.append(ScanRecord(kind, g, float("nan"), float("nan"),
                                           note=f"error: {exc}"))
     rows = [(r.protocol, r.gamma0_tau, r.t_opt, r.infidelity,
@@ -192,15 +186,14 @@ def _ww_overlay(records, args):
     """Re-run each optimized protocol point in the mode-resolved model."""
     out = []
     delta = args.delta_fsr * math.pi
+    modes = build_modes(make_link(1.0, 1.0, delta), args.n_modes)
+    M = _steps_for_modes(modes, delta, args.steps_per_tau)
     for r in records:
         if not math.isfinite(r.t_opt):
             continue
         link = make_link(r.gamma0_tau, 1.0, delta)
-        M = _steps_for_modes(delta, args.n_modes, args.steps_per_tau)
         grid = make_grid(1.0, r.t_opt, M)
-        spec = ProtocolSpec(r.protocol, r.gamma0_tau, r.t_opt)
-        pulses = make_pulses(spec, link)
-        modes = build_modes(link, args.n_modes)
+        pulses = make_pulses(ProtocolSpec(r.protocol, r.gamma0_tau, r.t_opt), link)
         traj = evolve_ww(link, modes, pulses, (1.0, 0.0), grid)
         F = abs(traj.amplitude_at(1, r.t_opt)) ** 2
         out.append({"protocol": r.protocol, "gamma0_tau": r.gamma0_tau,
@@ -217,11 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default):
-        p.add_argument("--steps-per-tau", type=int, default=200)
-        p.add_argument("--out", default=out_default)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
     p = sub.add_parser("simulate", help="time evolution of one or two emitters")
     p.add_argument("--gamma-tau", type=float, required=True)
     p.add_argument("--delta-fsr", type=float, default=50.0,
@@ -231,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ww", action="store_true",
                    help="add mode-resolved overlay columns")
     p.add_argument("--n-modes", type=int, default=401)
-    common(p, "simulate.csv")
+    p.add_argument("--steps-per-tau", type=int, default=200)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default="simulate.csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("spectrum", help="output power spectrum vs detuning")
@@ -241,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="points sweeping Delta over one FSR (1 = single spectrum)")
     p.add_argument("--omega-steps", type=int, default=801)
     p.add_argument("--broadening", type=float, default=0.02)
-    common(p, "spectrum.csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default="spectrum.csv")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("protocol", help="run or optimize one transfer protocol")
@@ -255,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float)
     p.add_argument("--t-step", type=float, default=0.25)
     p.add_argument("--kappa-tau", type=float, default=0.0)
-    common(p, "protocol.json")
+    p.add_argument("--steps-per-tau", type=int, default=200)
+    p.add_argument("--out", default="protocol.json")
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("scan", help="protocol benchmark over a coupling grid")
@@ -268,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append mode-resolved cross-check records")
     p.add_argument("--delta-fsr", type=float, default=50.0)
     p.add_argument("--n-modes", type=int, default=401)
-    common(p, "scan.csv")
+    p.add_argument("--steps-per-tau", type=int, default=200)
+    p.add_argument("--out", default="scan.csv")
     p.set_defaults(func=cmd_scan)
     return ap
 

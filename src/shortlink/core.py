@@ -240,6 +240,10 @@ def make_grid(tau: float, t_end: float, steps_per_tau: int = 200) -> TimeGrid:
     """Build a grid aligned with the delay tau, rounding t_end up to a node."""
     if steps_per_tau < 4:
         raise ValueError("steps_per_tau must be >= 4")
+    _check_finite("tau", tau)
+    _check_finite("t_end", t_end)
+    if tau <= 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
     h = tau / steps_per_tau
@@ -284,6 +288,8 @@ class Trajectory:
         j = int(math.floor(x))
         if abs(x - round(x)) < 1e-9:
             return complex(self.c[l, int(round(x))])
+        if n < 3:
+            raise ValueError(f"off-grid interpolation needs at least 3 grid steps, got {n}")
         s = min(max(j - 1, 0), n - 3)
         w = _lagrange_weights(x - s)
         return complex(np.dot(w, self.c[l, s:s + 4]))

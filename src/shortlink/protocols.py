@@ -210,12 +210,18 @@ def loss_error(traj: Trajectory, kappa: float) -> float:
     return 1.0 - math.exp(-kappa * photon_integral(traj))
 
 
+def transfer(spec: ProtocolSpec, link: LinkParams,
+             steps_per_tau: int = 200) -> Trajectory:
+    """Integrate one protocol run from the excitation on emitter 1."""
+    pulses = make_pulses(spec, link)
+    grid = make_grid(link.tau, spec.duration, steps_per_tau)
+    return evolve_pair(link, pulses[0], pulses[1], (1.0, 0.0), grid)
+
+
 def run_protocol(spec: ProtocolSpec, link: LinkParams,
                  steps_per_tau: int = 200, kappa: float = 0.0):
     """Integrate one protocol and summarize it as a JSON-ready record."""
-    pulses = make_pulses(spec, link)
-    grid = make_grid(link.tau, spec.duration, steps_per_tau)
-    traj = evolve_pair(link, pulses[0], pulses[1], (1.0, 0.0), grid)
+    traj = transfer(spec, link, steps_per_tau)
     F = fidelity(traj, spec.duration)
     n_int = photon_integral(traj)
     record = {

@@ -16,15 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import golden
 
-from .core import make_grid, make_link
-from .dde import evolve_pair
-from .protocols import (ProtocolSpec, czkm_exact_error, fidelity, make_pulses,
-                        photon_integral)
+from .core import make_link
+from .protocols import (ProtocolSpec, czkm_exact_error, fidelity,
+                        photon_integral, transfer)
 
 log = logging.getLogger(__name__)
 
 _NOISE_FLOOR = 1e-9
 _RISE_FRACTION = 0.05
+_N_COARSE = 41   # SWAP durations in the coarse Rabi-bracket scan
+_T_STEP = 0.25   # STIRAP duration scan step, in units of tau
 
 
 @dataclass(frozen=True)
@@ -39,27 +40,21 @@ class ScanRecord:
     note: str = ""
 
 
-def protocol_error(kind: str, gamma0_tau: float, T: float,
-                   steps_per_tau: int = 200, with_loss: bool = False):
-    """1 - F for one protocol run at duration T (tau = 1 units).
+def _run(kind: str, gamma0_tau: float, T: float, steps_per_tau: int):
+    """One protocol run at duration T (tau = 1 units)."""
+    return transfer(ProtocolSpec(kind, gamma0_tau, T),
+                    make_link(gamma0_tau, 1.0, 0.0), steps_per_tau)
 
-    with_loss additionally returns the photon-number integral of the run.
-    """
-    link = make_link(gamma0_tau, 1.0, 0.0)
-    spec = ProtocolSpec(kind, gamma0_tau, T)
-    pulses = make_pulses(spec, link)
-    grid = make_grid(1.0, T, steps_per_tau)
-    traj = evolve_pair(link, pulses[0], pulses[1], (1.0, 0.0), grid)
-    err = 1.0 - fidelity(traj, T)
-    if with_loss:
-        return err, photon_integral(traj)
-    return err
+
+def _error(kind: str, gamma0_tau: float, T: float, steps_per_tau: int) -> float:
+    """Transfer error 1 - F of one run at duration T."""
+    return 1.0 - fidelity(_run(kind, gamma0_tau, T, steps_per_tau), T)
 
 
 def error_vs_duration(kind: str, gamma0_tau: float, T_values,
                       steps_per_tau: int = 200) -> np.ndarray:
     """Transfer error across a grid of durations (one row per T)."""
-    return np.array([protocol_error(kind, gamma0_tau, float(T), steps_per_tau)
+    return np.array([_error(kind, gamma0_tau, float(T), steps_per_tau)
                      for T in T_values])
 
 
@@ -73,8 +68,7 @@ def _refine(f, bracket, coarse_t, coarse_err, tol_rel):
     return float(t_best), float(e_best)
 
 
-def optimal_swap(gamma0_tau: float, steps_per_tau: int = 200,
-                 n_coarse: int = 41) -> ScanRecord:
+def optimal_swap(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
     """Best constant-coupling exchange near the Rabi period.
 
     Coarse scan of T over [0.5, 1.5] * pi/Omega with Omega = sqrt(gamma0/tau),
@@ -83,7 +77,7 @@ def optimal_swap(gamma0_tau: float, steps_per_tau: int = 200,
     if gamma0_tau <= 0:
         raise ValueError("gamma0_tau must be > 0")
     t_rabi = math.pi / math.sqrt(gamma0_tau)
-    Ts = np.linspace(0.5 * t_rabi, 1.5 * t_rabi, n_coarse)
+    Ts = np.linspace(0.5 * t_rabi, 1.5 * t_rabi, _N_COARSE)
     errs = error_vs_duration("swap", gamma0_tau, Ts, steps_per_tau)
     k = int(np.argmin(errs))
     note = ""
@@ -93,15 +87,14 @@ def optimal_swap(gamma0_tau: float, steps_per_tau: int = 200,
         t_opt, e_opt = float(Ts[k]), float(errs[k])
         note = "bracket-endpoint"
     else:
-        f = lambda T: protocol_error("swap", gamma0_tau, float(T), steps_per_tau)
+        f = lambda T: _error("swap", gamma0_tau, float(T), steps_per_tau)
         t_opt, e_opt = _refine(f, (Ts[k - 1], Ts[k], Ts[k + 1]),
                                float(Ts[k]), float(errs[k]), 1e-4)
-    _, n_int = protocol_error("swap", gamma0_tau, t_opt, steps_per_tau, with_loss=True)
+    n_int = photon_integral(_run("swap", gamma0_tau, t_opt, steps_per_tau))
     return ScanRecord("swap", gamma0_tau, t_opt, e_opt, n_int, note)
 
 
-def optimal_stirap(gamma0_tau: float, steps_per_tau: int = 200,
-                   t_step: float = 0.25) -> ScanRecord:
+def optimal_stirap(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
     """First valley of the adiabatic-ramp error as T grows.
 
     Scans T upward from 2*tau in steps of tau/4; a local minimum counts as
@@ -111,13 +104,13 @@ def optimal_stirap(gamma0_tau: float, steps_per_tau: int = 200,
     if gamma0_tau <= 0:
         raise ValueError("gamma0_tau must be > 0")
     t_max = 100.0 / math.sqrt(gamma0_tau)
-    f = lambda T: protocol_error("stirap", gamma0_tau, float(T), steps_per_tau)
+    f = lambda T: _error("stirap", gamma0_tau, float(T), steps_per_tau)
 
-    ts = [2.0, 2.0 + t_step]
+    ts = [2.0, 2.0 + _T_STEP]
     es = [f(ts[0]), f(ts[1])]
     k_min = int(np.argmin(es))
     while ts[-1] < t_max:
-        ts.append(ts[-1] + t_step)
+        ts.append(ts[-1] + _T_STEP)
         es.append(f(ts[-1]))
         if es[-1] < es[k_min]:
             k_min = len(es) - 1
@@ -129,32 +122,25 @@ def optimal_stirap(gamma0_tau: float, steps_per_tau: int = 200,
                           note="no-valley-within-scan")
 
     lo = ts[k_min - 1]
-    hi = ts[k_min + 1] if k_min + 1 < len(ts) else ts[k_min] + t_step
+    hi = ts[k_min + 1] if k_min + 1 < len(ts) else ts[k_min] + _T_STEP
     t_opt, e_opt = _refine(f, (lo, ts[k_min], hi), ts[k_min], es[k_min], 1e-4)
-    _, n_int = protocol_error("stirap", gamma0_tau, t_opt, steps_per_tau, with_loss=True)
+    n_int = photon_integral(_run("stirap", gamma0_tau, t_opt, steps_per_tau))
     return ScanRecord("stirap", gamma0_tau, t_opt, e_opt, n_int)
 
 
-def czkm_record(gamma0_tau: float, steps_per_tau: int = 200,
-                use_dde: bool = False, resource_rule=None) -> ScanRecord:
+def czkm_record(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
     """Wavepacket-engineering point at the shared resource rule T = 9/sqrt(g0 tau).
 
-    The error comes from the closed-form bright-state formula by default;
-    use_dde switches to the full two-emitter integration (slower, agrees to
-    better than 1e-6).
+    The error is the closed-form bright-state formula (`czkm_exact_error`);
+    no two-emitter run is made, so the loss integral is left at 0.
     """
-    rule = resource_rule or (lambda g: 9.0 / math.sqrt(g))
-    T = float(rule(gamma0_tau))
-    if use_dde:
-        err, n_int = protocol_error("czkm", gamma0_tau, T, steps_per_tau, with_loss=True)
-    else:
-        err = czkm_exact_error(gamma0_tau, 1.0, T, steps_per_tau)
-        n_int = 0.0
-    return ScanRecord("czkm", gamma0_tau, T, err, n_int)
+    T = 9.0 / math.sqrt(gamma0_tau)
+    return ScanRecord("czkm", gamma0_tau, T,
+                      czkm_exact_error(gamma0_tau, 1.0, T, steps_per_tau))
 
 
 def scan_protocols(gamma0_tau_grid, protocols=("swap", "stirap", "czkm"),
-                   steps_per_tau: int = 200, resource_rule=None) -> list:
+                   steps_per_tau: int = 200) -> list:
     """Optimized records for each requested protocol over a coupling grid."""
     grid = [float(g) for g in gamma0_tau_grid]
     if any(g <= 0 for g in grid):
@@ -167,7 +153,7 @@ def scan_protocols(gamma0_tau_grid, protocols=("swap", "stirap", "czkm"),
             elif kind == "stirap":
                 out.append(optimal_stirap(g, steps_per_tau))
             elif kind == "czkm":
-                out.append(czkm_record(g, steps_per_tau, resource_rule=resource_rule))
+                out.append(czkm_record(g, steps_per_tau))
             else:
                 raise ValueError(f"unknown protocol {kind!r}")
     return out
@@ -188,11 +174,12 @@ def fit_power_law(points):
 
     Fit is linear in log-log space; the residual is the RMS log error.
     Points with y below the 1e-9 integrator noise floor are excluded
-    (count logged); at least 3 usable points are required.
+    (count logged); at least 3 usable points are required, and every
+    point must be finite.
     """
     pts = [(float(x), float(y)) for x, y in points]
-    if any(x <= 0 or y < 0 for x, y in pts):
-        raise ValueError("power-law fit needs x > 0 and y >= 0")
+    if not all(0 < x < math.inf and 0 <= y < math.inf for x, y in pts):
+        raise ValueError("power-law fit needs finite x > 0 and y >= 0")
     kept = [(x, y) for x, y in pts if y >= _NOISE_FLOOR]
     dropped = len(pts) - len(kept)
     if dropped:
@@ -223,7 +210,7 @@ def loss_scan(gamma0_tau_grid, kappa_tau: float = 0.01,
         for g in gamma0_tau_grid:
             g = float(g)
             T = (math.pi if kind == "swap" else 9.0) / math.sqrt(g)
-            _, n_int = protocol_error(kind, g, T, steps_per_tau, with_loss=True)
+            n_int = photon_integral(_run(kind, g, T, steps_per_tau))
             eps = 1.0 - math.exp(-kappa_tau * n_int)
             rows.append((T, eps))
         a, b, resid = fit_power_law(rows)

@@ -56,6 +56,11 @@ class TestSimulate:
         assert run("simulate", "--gamma-tau", "-1", "--out", "x.csv") == 1
         assert "error:" in capsys.readouterr().err
         assert not (outdir / "x.csv").exists()
+        for t_end in ("inf", "nan"):
+            assert run("simulate", "--gamma-tau", "0.1", "--t-end", t_end,
+                       "--out", "x.csv") == 1
+            assert "t_end must be finite" in capsys.readouterr().err
+        assert not (outdir / "x.csv").exists()
 
 
 class TestSpectrum:
@@ -108,6 +113,13 @@ class TestProtocol:
         assert len(rows) == 11
         assert all(0.0 <= r[1] <= 1.0 for r in rows)
 
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_scan_t_rejects_nonpositive_step(self, outdir, capsys, step):
+        assert run("protocol", "swap", "--gamma-tau", "0.2", "--scan-t",
+                   "--t-step", step, "--out", "st.csv") == 1
+        assert "--t-step must be > 0" in capsys.readouterr().err
+        assert not (outdir / "st.csv").exists()
+
     def test_missing_duration_exits(self, outdir):
         with pytest.raises(SystemExit):
             run("protocol", "swap", "--gamma-tau", "0.2", "--out", "no.json")
@@ -118,6 +130,17 @@ class TestProtocol:
         rec = json.loads((outdir / "ls.json").read_text())
         assert rec["loss_error"] > 0.0
         assert rec["kappa_tau"] == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("argv", [
+    ("protocol", "swap", "--gamma-tau", "0.2", "--t", "3", "--format", "csv"),
+    ("scan", "--grid", "0.2", "--format", "json"),
+    ("spectrum", "--gamma-tau", "0.15", "--steps-per-tau", "100"),
+])
+def test_unread_flags_refused(outdir, argv):
+    with pytest.raises(SystemExit):
+        run(*argv, "--out", "x.out")
+    assert not (outdir / "x.out").exists()
 
 
 class TestScan:

@@ -103,6 +103,10 @@ class TestGrid:
             make_grid(1.0, 5.0, 3)
         with pytest.raises(ValueError):
             make_grid(1.0, 0.0, 10)
+        for tau, t_end in ((1.0, math.inf), (1.0, math.nan), (math.nan, 1.0),
+                           (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0)):
+            with pytest.raises(ValueError):
+                make_grid(tau, t_end, 10)
 
 
 def test_trajectory_amplitude_interpolation():
@@ -120,6 +124,14 @@ def test_trajectory_amplitude_interpolation():
         want = (0.3 + 0.2j) * x**3 - x**2 + (1.0 - 0.5j) * x + 2.0
         assert traj.amplitude_at(0, x) == pytest.approx(want, rel=1e-12)
     assert traj.amplitude_at(0, 1.0) == vals[10]
+
+    # fewer than 3 steps: no room for the 4-node stencil, nodes stay exact
+    from shortlink.protocols import ProtocolSpec, run_protocol
+
+    with pytest.raises(ValueError, match="at least 3 grid steps"):
+        run_protocol(ProtocolSpec("swap", 0.2, 0.007), make_link(0.2, 1.0, 0.0))
+    short = run_protocol(ProtocolSpec("swap", 0.2, 0.01), make_link(0.2, 1.0, 0.0))[0]
+    assert short.amplitude_at(0, 0.005) == short.c[0, 1]
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

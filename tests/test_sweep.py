@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from shortlink.core import make_link
+from shortlink.protocols import ProtocolSpec, run_protocol
 from shortlink.sweep import (ScanRecord, crossover, error_vs_duration,
                              fit_power_law, loss_scan, optimal_stirap,
                              optimal_swap, scan_protocols)
@@ -26,6 +28,9 @@ class TestFitPowerLaw:
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_power_law([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                fit_power_law([(0.1, 1e-2), (0.2, 4e-2), (0.4, 1.6e-1), (0.8, bad)])
 
 
 class TestOptimalSwap:
@@ -91,6 +96,17 @@ class TestScanProtocols:
             scan_protocols([0.1, -0.2], protocols=("czkm",))
         with pytest.raises(ValueError):
             scan_protocols([0.1], protocols=("teleport",))
+
+
+@pytest.mark.parametrize("kind,g,Ts", [
+    ("swap", 0.2, (5.0, 7.123, 9.9)),
+    ("stirap", 1.0, (3.0, 8.45)),
+    ("czkm", 0.5, (4.0, 12.7279)),
+])
+def test_error_vs_duration_matches_run_protocol(kind, g, Ts):
+    link = make_link(g, 1.0, 0.0)
+    want = [run_protocol(ProtocolSpec(kind, g, T), link)[1]["error"] for T in Ts]
+    assert error_vs_duration(kind, g, Ts).tolist() == want
 
 
 def test_loss_scan_structure():
