@@ -15,7 +15,7 @@ from .core import (LinkParams, PulseProfile, TimeGrid, Trajectory,
                    constant_pulse, eval_pulse, make_grid, make_link,
                    phase_factor, sampled_pulse, sin2_pulse, tanh_pulse)
 from .dde import (derivative_kinks, evolve_pair, evolve_single, output_field,
-                  output_field_sum, population_kinks)
+                  population_kinks)
 from .protocols import (DarkBrightState, ProtocolSpec, czkm_bound,
                         czkm_exact_error, dark_bright, fidelity, loss_error,
                         make_pulses, photon_integral, run_protocol,

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import LinkParams, TWO_PI, phase_factor
 
@@ -46,8 +45,9 @@ class SeriesParams:
     n_max: int = _N_MAX_HARD
 
     def __post_init__(self):
-        if self.delay <= 0 or self.gamma < 0:
-            raise ValueError("need delay > 0 and gamma >= 0")
+        if not (all(map(math.isfinite, (self.gamma, self.delay, self.phi)))
+                and self.delay > 0 and self.gamma >= 0):
+            raise ValueError("need finite gamma, delay and phi, delay > 0 and gamma >= 0")
         if not (1 <= self.n_max <= _N_MAX_HARD):
             raise ValueError(f"n_max must be in [1, {_N_MAX_HARD}]")
 
@@ -73,11 +73,15 @@ def series_solution(p: SeriesParams, t: float) -> complex:
     The inner sums alternate in sign with terms growing like binomials of
     the echo order times e^{gamma t / 2}, so double precision limits the
     useful domain to roughly gamma*t < 40 and one to two hundred echo
-    generations; beyond that the cancellation noise dominates.
+    generations; beyond that the cancellation noise dominates, so gamma*t
+    above 40 (or NaN) raises ValueError.
     """
     if t < 0:
         raise ValueError("series solution is defined for t >= 0")
     g, d = p.gamma, p.delay
+    if not (g * t <= 40.0):
+        raise ValueError(f"gamma*t = {g * t} is outside the series solution's "
+                         "gamma*t < 40 domain")
     n_t = int(math.floor(t / d + 1e-12))
     if n_t > p.n_max:
         raise ValueError(
@@ -122,6 +126,52 @@ class SpectralResult:
     spectrum: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter):
+    """Root of f in [xa, xb]: scipy.optimize.brentq's C routine (Brent 1973)
+    ported step for step, so the same root to the bit and the same errors.
+    """
+    def fx(x):
+        if math.isnan(y := f(x)):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _eigen_residual(lam: float, link: LinkParams) -> float:
     x = math.fmod(lam * link.tau, math.pi)
     return lam - link.delta - 0.5 * link.gamma0 / math.tan(x)
@@ -156,7 +206,7 @@ def eigenfrequencies(link: LinkParams, window) -> np.ndarray:
             continue
         eps = 1e-9 * fsr
         f = lambda lam: _eigen_residual(lam, link)
-        lam = brentq(f, a + eps, b - eps, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        lam = _brentq(f, a + eps, b - eps, 1e-15, 8.9e-16, 200)
         # derivative-free secant polish to push the residual down
         tol = 1e-10 * max(abs(lam), gam)
         x0, x1 = lam, lam * (1.0 + 1e-12) + 1e-300

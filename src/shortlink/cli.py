@@ -113,6 +113,8 @@ def cmd_protocol(args) -> int:
         t_lo = args.t_min if args.t_min is not None else 2.0
         t_hi = args.t_max if args.t_max is not None else 2.0 * math.pi / math.sqrt(g)
         Ts = np.arange(t_lo, t_hi + 1e-9, args.t_step)
+        if Ts.size == 0:
+            raise ValueError(f"--scan-t range {t_lo} to {t_hi} holds no duration")
         errs = error_vs_duration(args.kind, g, Ts, args.steps_per_tau)
         write_csv(args.out, ["T_over_tau", "infidelity"],
                   np.column_stack([Ts, errs]),

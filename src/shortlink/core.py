@@ -7,7 +7,6 @@ All quantities are dimensionless groups built on the traversal time tau
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -118,36 +117,6 @@ class PulseProfile:
 
     def __call__(self, t):
         return eval_pulse(self, t)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        obj = {
-            "shape": self.shape,
-            "params": dict(self.params),
-            "support": list(self.support),
-        }
-        if self.mirror_about is not None:
-            obj["mirror_about"] = self.mirror_about
-        if self.shape == "sampled":
-            obj["params"]["times"] = list(map(float, self.times))
-            obj["params"]["values"] = list(map(float, self.values))
-        return json.dumps(obj)
-
-    @staticmethod
-    def from_json(text: str) -> "PulseProfile":
-        obj = json.loads(text)
-        params = dict(obj["params"])
-        times = params.pop("times", None)
-        values = params.pop("values", None)
-        return PulseProfile(
-            shape=obj["shape"],
-            params=params,
-            support=tuple(obj["support"]),
-            mirror_about=obj.get("mirror_about"),
-            times=None if times is None else np.asarray(times, dtype=float),
-            values=None if values is None else np.asarray(values, dtype=float),
-        )
 
 
 def eval_pulse(p: PulseProfile, t):
@@ -304,18 +273,6 @@ class Trajectory:
         data = [self.t, self.c[0].real, self.c[0].imag, c2.real, c2.imag,
                 pops[0], p2, self.photon_number()]
         return names, data
-
-    def to_csv(self, path) -> None:
-        from .io import write_csv
-
-        names, data = self._columns()
-        meta = {
-            "gamma0": self.link.gamma0,
-            "tau": self.link.tau,
-            "delta": self.link.delta,
-            "steps_per_tau": self.grid.steps_per_tau,
-        }
-        write_csv(path, names, np.column_stack(data), meta)
 
 
 def _lagrange_weights(x: float) -> np.ndarray:

@@ -223,26 +223,6 @@ def output_field(traj: Trajectory, l: int, t: float) -> complex:
     return complex(traj.b_out[l, i])
 
 
-def output_field_sum(traj: Trajectory, l: int, t: float) -> complex:
-    """Echo field via the explicit truncated sum over past emissions.
-
-    Independent of the recursion; used to cross-check it.
-    """
-    if t < 0:
-        return 0j
-    i = traj.grid.index_of(t)
-    R = traj.echo_delay_steps
-    phi_e = traj.echo_phase
-    total = 0j
-    n = 0
-    while i - n * R >= 0:
-        j = i - n * R
-        amp = math.sqrt(traj.gamma_samples[l, j]) * traj.c[l, j]
-        total += phase_factor(phi_e, n) * amp
-        n += 1
-    return total
-
-
 def _kinks(traj: Trajectory, x, kind):
     """One-sided third-order derivative jumps of x at the echo arrival nodes."""
     R = traj.echo_delay_steps

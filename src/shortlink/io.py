@@ -77,21 +77,3 @@ def _plain(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     return obj
-
-
-def read_csv(path):
-    """Read back a CSV written by write_csv: (meta, columns, float rows)."""
-    meta = {}
-    columns = None
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, val = line[1:].partition("=")
-            meta[key.strip()] = val.strip()
-        elif columns is None:
-            columns = line.split(",")
-        else:
-            rows.append([float(v) for v in line.split(",")])
-    return meta, columns or [], rows

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .core import (LinkParams, PulseProfile, TimeGrid, Trajectory,
                    constant_pulse, eval_pulse, make_grid, sampled_pulse,
@@ -88,7 +87,7 @@ def shaped_pulse(times, density, gamma_cap: float, t0: float | None = None) -> P
         raise ValueError("|psi|^2 must be nonnegative")
     if t0 is not None:
         rho = np.where(t < t0, 0.0, rho)
-    cum = np.concatenate([[0.0], cumulative_trapezoid(rho, t)])
+    cum = np.concatenate([[0.0], np.cumsum(np.diff(t) * (rho[1:] + rho[:-1]) / 2.0)])
     if cum[-1] > 1.0 + 1e-9:
         raise ValueError(f"wavepacket norm {cum[-1]:.6f} exceeds 1")
     denom = 1.0 - cum

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import golden
 
 from .core import make_link
 from .protocols import (ProtocolSpec, czkm_exact_error, fidelity,
@@ -26,6 +25,8 @@ _NOISE_FLOOR = 1e-9
 _RISE_FRACTION = 0.05
 _N_COARSE = 41   # SWAP durations in the coarse Rabi-bracket scan
 _T_STEP = 0.25   # STIRAP duration scan step, in units of tau
+_GR = 0.61803399  # golden-section ratio, to scipy.optimize.golden's digits
+_GC = 1.0 - _GR
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,38 @@ def error_vs_duration(kind: str, gamma0_tau: float, T_values,
                      for T in T_values])
 
 
+def _golden(f, xa, xb, xc, tol):
+    """Minimiser of f in the bracket (xa, xb, xc): scipy.optimize.golden ported
+    call for call (bracket points included), so the same minimiser to the bit.
+    """
+    x0, x3 = (xc, xa) if xa > xc else (xa, xc)
+    if not (x0 < xb and xb < x3):
+        raise ValueError("Bracketing values (xa, xb, xc) do not"
+                         " fulfill this requirement: (xa < xb) and (xb < xc)")
+    fa, fb, fc = f(x0), f(xb), f(x3)
+    if not (fb < fa and fb < fc):
+        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill"
+                         " this requirement: (f(xb) < f(xa)) and (f(xb) < f(xc))")
+    if abs(x3 - xb) > abs(xb - x0):
+        x1, x2 = xb, xb + _GC * (x3 - xb)
+    else:
+        x1, x2 = xb - _GC * (xb - x0), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, _GR * x2 + _GC * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GR * x1 + _GC * x0
+            f2, f1 = f1, f(x1)
+    return x1 if f1 < f2 else x2
+
+
 def _refine(f, bracket, coarse_t, coarse_err, tol_rel):
     """Golden-section polish; never returns worse than the coarse minimum."""
-    a, b, c = bracket
-    t_best = golden(f, brack=(a, b, c), tol=tol_rel)
+    t_best = _golden(f, *bracket, tol_rel)
     e_best = f(t_best)
     if e_best > coarse_err:
         return coarse_t, coarse_err

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from shortlink.analytic import (SeriesParams, eigenfrequencies, jump_formula,
+from shortlink.analytic import (SeriesParams, _brentq, _eigen_residual,
+                                eigenfrequencies, jump_formula,
                                 output_amplitude, output_spectrum,
                                 resonant_splitting, series_solution,
                                 spectrum_scan)
@@ -30,6 +32,22 @@ class TestSeries:
             series_solution(p, 5.0)
         with pytest.raises(ValueError):
             series_solution(p, -0.1)
+
+    def test_non_finite_parameters_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for kw in ({"gamma": bad}, {"delay": bad}, {"phi": bad}):
+                args = {"gamma": 0.5, "delay": 1.0, "phi": 0.3, **kw}
+                with pytest.raises(ValueError, match="finite"):
+                    SeriesParams(**args)
+
+    def test_domain_guard(self):
+        p = SeriesParams(gamma=0.5, delay=1.0, phi=0.3)
+        series_solution(p, 80.0)  # gamma*t = 40 exactly is inside
+        for t in (80.0 + 1e-9, 1e3, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"gamma\*t < 40"):
+                series_solution(p, t)
+        with pytest.raises(ValueError, match=r"gamma\*t < 40"):
+            series_solution(SeriesParams(gamma=20.0, delay=1.0, phi=0.0), 2.5)
 
     def test_deep_echo_tail_stays_bounded(self):
         # hundreds of echo generations at moderate gamma*t: the merged
@@ -120,6 +138,53 @@ class TestEigenfrequencies:
         assert all(b > a for a, b in zip(splits, splits[1:]))
         assert all(s < math.pi for s in splits)
         assert splits[-1] == pytest.approx(math.pi, rel=0.05)
+
+
+def _recorded(f):
+    """f that appends every argument it is called with to f.calls."""
+    def g(x):
+        g.calls.append(x)
+        return f(x)
+    g.calls = []
+    return g
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBrentq:
+    def test_matches_scipy_on_eigen_brackets(self):
+        # the brackets eigenfrequencies solves on, over random links and branches
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            link = make_link(float(rng.uniform(1e-3, 10.0)), float(rng.uniform(0.2, 3.0)),
+                             float(rng.uniform(-30.0, 30.0)))
+            fsr = link.fsr
+            k = int(rng.integers(-15, 15))
+            a, b = k * fsr + 1e-9 * fsr, (k + 1) * fsr - 1e-9 * fsr
+            ours, ref = (_recorded(lambda lam: _eigen_residual(lam, link)) for _ in range(2))
+            root = _brentq(ours, a, b, 1e-15, 8.9e-16, 200)
+            want = brentq(ref, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+            assert root == want and type(root) is type(want)
+            assert ours.calls == ref.calls
+
+    def test_errors_match_scipy(self):
+        nan = math.nan
+        cases = [(lambda x: x * x - 2.0, 0, 3, 3),      # maxiter exhausted
+                 (lambda x: x - 5.0, 0.0, 1.0, 100),     # no sign change
+                 (lambda x: nan, 0, 1, 100),             # NaN at an end
+                 (lambda x: x - 0.5 if x < 0.7 else nan, 0.0, 1.0, 100),
+                 (lambda x: x, 0, 1, 100),               # root on an end
+                 (lambda x: x - 1.0, 0.0, 1.0, 100)]
+        for f, a, b, maxiter in cases:
+            got = _outcome(lambda: _brentq(f, a, b, 1e-12, 8.9e-16, maxiter))
+            want = _outcome(lambda: brentq(f, a, b, xtol=1e-12, rtol=8.9e-16,
+                                           maxiter=maxiter))
+            assert got == want
 
 
 class TestSpectrum:

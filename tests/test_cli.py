@@ -1,10 +1,28 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from shortlink.cli import main
-from shortlink.io import read_csv
+
+
+def read_csv(path):
+    """Read back a CSV written by io.write_csv: (meta, columns, float rows)."""
+    meta = {}
+    columns = None
+    rows = []
+    for line in Path(path).read_text().splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            key, _, val = line[1:].partition("=")
+            meta[key.strip()] = val.strip()
+        elif columns is None:
+            columns = line.split(",")
+        else:
+            rows.append([float(v) for v in line.split(",")])
+    return meta, columns or [], rows
 
 
 @pytest.fixture
@@ -118,6 +136,13 @@ class TestProtocol:
         assert run("protocol", "swap", "--gamma-tau", "0.2", "--scan-t",
                    "--t-step", step, "--out", "st.csv") == 1
         assert "--t-step must be > 0" in capsys.readouterr().err
+        assert not (outdir / "st.csv").exists()
+
+    @pytest.mark.parametrize("lo, hi", [("5", "3"), ("5", "4.5")])
+    def test_scan_t_rejects_empty_range(self, outdir, capsys, lo, hi):
+        assert run("protocol", "swap", "--gamma-tau", "0.2", "--scan-t",
+                   "--t-min", lo, "--t-max", hi, "--out", "st.csv") == 1
+        assert "holds no duration" in capsys.readouterr().err
         assert not (outdir / "st.csv").exists()
 
     def test_missing_duration_exits(self, outdir):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -72,15 +71,6 @@ class TestPulses:
         with pytest.raises(ValueError):
             PulseProfile("wedge", {}, (0.0, 1.0))
 
-    def test_json_roundtrip(self):
-        for p in (sin2_pulse(0.8, 7.0, mirror=True),
-                  tanh_pulse(0.2, 3.0, (0.0, 8.0), mirror_about=4.0),
-                  sampled_pulse([0.0, 0.5, 2.0], [0.0, 0.3, 0.1])):
-            q = PulseProfile.from_json(p.to_json())
-            t = np.linspace(-1.0, 9.0, 101)
-            np.testing.assert_array_equal(eval_pulse(p, t), eval_pulse(q, t))
-            assert json.loads(p.to_json()) == json.loads(q.to_json())
-
 
 class TestGrid:
     def test_alignment(self):
@@ -132,21 +122,3 @@ def test_trajectory_amplitude_interpolation():
         run_protocol(ProtocolSpec("swap", 0.2, 0.007), make_link(0.2, 1.0, 0.0))
     short = run_protocol(ProtocolSpec("swap", 0.2, 0.01), make_link(0.2, 1.0, 0.0))[0]
     assert short.amplitude_at(0, 0.005) == short.c[0, 1]
-
-
-def test_trajectory_csv_roundtrip(tmp_path):
-    from shortlink.dde import evolve_single
-    from shortlink.io import read_csv
-
-    link = make_link(0.3, 1.0, 2.0)
-    grid = make_grid(1.0, 4.0, 20)
-    traj = evolve_single(link, constant_pulse(0.3, (0.0, 4.0)), 1.0, grid)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    meta, cols, rows = read_csv(path)
-    assert cols == ["t", "re_c1", "im_c1", "re_c2", "im_c2",
-                    "pop1", "pop2", "n_photon"]
-    assert len(rows) == grid.n_steps + 1
-    assert float(meta["gamma0"]) == 0.3
-    np.testing.assert_allclose([r[5] for r in rows],
-                               traj.populations()[0], rtol=1e-10)

@@ -9,8 +9,7 @@ from shortlink import dde
 from shortlink.analytic import SeriesParams, series_solution
 from shortlink.core import (TimeGrid, constant_pulse, eval_pulse, make_grid, make_link,
                             phase_factor, sampled_pulse, sin2_pulse, tanh_pulse)
-from shortlink.dde import (evolve_pair, evolve_single, output_field,
-                           output_field_sum)
+from shortlink.dde import evolve_pair, evolve_single, output_field
 
 
 def single_run(gamma, phi, t_end=5.0, steps=200):
@@ -275,6 +274,25 @@ class TestSingleEmitter:
         for gamma, phi in [(0.1, 0.7), (1.5, 3.0)]:
             traj, _ = single_run(gamma, phi, t_end=10.0)
             assert np.max(np.abs(traj.c[0]) ** 2) <= 1.0 + 1e-9
+
+
+def output_field_sum(traj, l, t):
+    """Echo field via the explicit truncated sum over past emissions.
+
+    Independent of the recursion in `output_field`; used to cross-check it.
+    """
+    if t < 0:
+        return 0j
+    i = traj.grid.index_of(t)
+    R = traj.echo_delay_steps
+    total = 0j
+    n = 0
+    while i - n * R >= 0:
+        j = i - n * R
+        amp = math.sqrt(traj.gamma_samples[l, j]) * traj.c[l, j]
+        total += phase_factor(traj.echo_phase, n) * amp
+        n += 1
+    return total
 
 
 class TestEchoField:

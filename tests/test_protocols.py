@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from shortlink.core import eval_pulse, make_grid, make_link
 from shortlink.dde import evolve_pair
@@ -80,6 +81,29 @@ class TestShapedPulse:
         t = np.linspace(0.0, 5.0, 500)
         with pytest.raises(ValueError, match="norm"):
             shaped_pulse(t, np.full_like(t, 0.5), gamma_cap=1.0)
+
+    def test_cumsum_matches_cumulative_trapezoid(self):
+        rng = np.random.default_rng(3)
+        for n in rng.integers(2, 3000, 200):
+            t = np.cumsum(rng.uniform(1e-3, 1.0, n))
+            y = rng.uniform(0.0, 2.0, n)
+            ours = np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)
+            assert np.array_equal(ours, cumulative_trapezoid(y, t))
+
+    @pytest.mark.filterwarnings("ignore:shaped pulse saturated")
+    def test_matches_scipy_route(self):
+        # gamma as shaped_pulse computed it with scipy's cumulative_trapezoid
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            t = np.sort(rng.uniform(-30.0, 30.0, int(rng.integers(50, 2000))))
+            g0 = rng.uniform(0.1, 2.0)
+            rho = rng.uniform(0.5, 0.999) * 0.25 * g0 / np.cosh(0.5 * g0 * t) ** 2
+            for t0 in (None, float(rng.uniform(-10.0, 10.0))):
+                r = rho if t0 is None else np.where(t < t0, 0.0, rho)
+                cum = np.concatenate([[0.0], cumulative_trapezoid(r, t)])
+                want = np.minimum(r / np.maximum(1.0 - cum, 1e-12), g0)
+                pulse = shaped_pulse(t, rho, gamma_cap=g0, t0=t0)
+                assert np.array_equal(pulse.values, want)
 
     def test_saturation_warns_and_caps(self):
         # density integrating to ~1 drives the denominator to the floor

@@ -2,12 +2,68 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import golden
 
 from shortlink.core import make_link
 from shortlink.protocols import ProtocolSpec, run_protocol
-from shortlink.sweep import (ScanRecord, crossover, error_vs_duration,
-                             fit_power_law, loss_scan, optimal_stirap,
-                             optimal_swap, scan_protocols)
+from shortlink.sweep import (ScanRecord, _error, _golden, crossover,
+                             error_vs_duration, fit_power_law, loss_scan,
+                             optimal_stirap, optimal_swap, scan_protocols)
+
+
+def _both(f, bracket, tol):
+    """(result or error, arguments f was called with) of _golden and of scipy's golden."""
+    out = []
+    for solve in (lambda g: _golden(g, *bracket, tol),
+                  lambda g: golden(g, brack=bracket, tol=tol)):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+        try:
+            res = solve(g)
+        except ValueError as exc:
+            res = str(exc)
+        out.append((res, calls))
+    return out
+
+
+class TestGolden:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(5)
+        for i in range(300):
+            m, w, ripple = rng.uniform(-5, 5), rng.uniform(0.01, 3), rng.uniform(0, 0.3)
+            xb = m + rng.uniform(-0.1, 0.1) * w
+            bracket = (xb - w * rng.uniform(0.5, 1.5), xb, xb + w * rng.uniform(0.5, 1.5))
+            if i % 2:
+                bracket = bracket[::-1]  # descending brackets are reordered
+            if i % 3 == 0:
+                bracket = tuple(np.float64(x) for x in bracket)  # as optimal_swap passes them
+            f = lambda x: (x - m) ** 2 + ripple * math.cos(7.0 * x)
+            (got, got_calls), (want, want_calls) = _both(f, bracket, [1e-4, 1e-8][i // 2 % 2])
+            assert isinstance(got, str) == isinstance(want, str)
+            assert got == want and type(got) is type(want)
+            assert got_calls == want_calls
+
+    def test_matches_scipy_on_a_transfer_error(self):
+        # a SWAP valley at a coarse grid: the optimiser's real objective
+        f = lambda T: _error("swap", 1.0, float(T), 20)
+        (got, got_calls), (want, want_calls) = _both(f, (3.2, 3.5, 3.8), 1e-4)
+        assert got == want and got_calls == want_calls
+        assert len(got_calls) > 10
+
+    def test_bracket_errors_match_scipy(self):
+        f = lambda x: (x - 1.0) ** 2
+        for bracket in [(0.0, 2.0, 1.0),      # xb outside (xa, xc)
+                        (0.0, 0.0, 1.0),      # xa == xb
+                        (0.0, 3.0, 4.0),      # f(xb) not below f(xa)
+                        (0.0, 2.0, 3.0),      # tie: f(xb) == f(xa)
+                        (-1.0, 0.0, 1.0)]:    # f(xb) not below f(xc)
+            (got, got_calls), (want, want_calls) = _both(f, bracket, 1e-4)
+            assert isinstance(got, str) and got == want
+            assert got_calls == want_calls
+        assert f(0.0) == f(2.0)  # the tie case is an exact tie
 
 
 class TestFitPowerLaw:
