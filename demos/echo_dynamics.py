@@ -39,12 +39,12 @@ print(f"max |numeric - closed form| = {np.max(np.abs(traj.c[0] - exact)):.3e}")
 print(f"expected Rabi frequency sqrt(gamma/2tau) = {math.sqrt(gamma / (2 * tau)):.4f}")
 print()
 print("amplitude-derivative kinks at echo arrivals (formula: -gamma e^{i n phi} c(0)):")
-for n, (t, jump) in enumerate(derivative_kinks(traj, link), start=1):
+for n, (t, jump) in enumerate(derivative_kinks(traj), start=1):
     want = jump_formula(n, gamma, 0.0, 1.0)
     print(f"  t = {t:5.1f}   measured {jump.real:+.4f}   formula {want.real:+.4f}")
 print("population-derivative kinks (all bounded by 2*gamma "
       f"= {2 * gamma:.3f}): "
-      + ", ".join(f"{abs(j):.4f}" for _, j in population_kinks(traj, link)))
+      + ", ".join(f"{abs(j):.4f}" for _, j in population_kinks(traj)))
 
 rows = np.column_stack([grid.times(), traj.populations()[0],
                         np.abs(exact) ** 2])

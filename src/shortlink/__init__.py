@@ -21,5 +21,5 @@ from .protocols import (DarkBrightState, ProtocolSpec, czkm_bound,
                         make_pulses, photon_integral, run_protocol,
                         shaped_pulse)
 from .sweep import (ScanRecord, crossover, error_vs_duration, fit_power_law,
-                    loss_scan, optimal_stirap, optimal_swap, scan_protocols)
+                    loss_scan, optimal_stirap, optimal_swap, optimum, scan_protocols)
 from .ww import ModeSet, WWTrajectory, build_modes, evolve_ww, unitarity_defect

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LinkParams, TWO_PI, phase_factor
+from .core import LinkParams, TWO_PI, make_link, phase_factor
 
 _N_MAX_HARD = 500
 
@@ -277,8 +277,6 @@ def output_spectrum(link: LinkParams, omega_grid, broadening: float = 0.0) -> Sp
 
 def spectrum_scan(gamma0: float, tau: float, delta_values, omega_grid, broadening: float = 0.0):
     """Heat-map rows (Delta, omega, power) over a sweep of emitter frequencies."""
-    from .core import make_link
-
     rows = []
     for delta in delta_values:
         link = make_link(gamma0, tau, delta)

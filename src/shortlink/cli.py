@@ -19,9 +19,9 @@ from .analytic import eigenfrequencies, spectrum_scan
 from .core import constant_pulse, make_grid, make_link
 from .dde import evolve_pair, evolve_single
 from .io import write_csv, write_json
-from .protocols import (ProtocolSpec, dark_bright, make_pulses, run_protocol)
-from .sweep import (ScanRecord, crossover, error_vs_duration, loss_scan,
-                    optimal_stirap, optimal_swap, scan_protocols)
+from .protocols import (ProtocolSpec, dark_bright, fidelity, loss_error,
+                        make_pulses, run_protocol)
+from .sweep import ScanRecord, crossover, error_vs_duration, loss_scan, optimum
 from .ww import build_modes, evolve_ww
 
 
@@ -105,6 +105,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_protocol(args) -> int:
+    loss_error(0.0, args.kappa_tau)  # a bad kappa fails here, before any run
     g = args.gamma_tau
     link = make_link(g, 1.0, 0.0)
     if args.scan_t:
@@ -121,13 +122,9 @@ def cmd_protocol(args) -> int:
                   _meta(protocol=args.kind, gamma_tau=g))
         return 0
     if args.optimize:
-        if args.kind == "swap":
-            rec = optimal_swap(g, args.steps_per_tau)
-        elif args.kind == "stirap":
-            rec = optimal_stirap(g, args.steps_per_tau)
-        else:
+        if args.kind == "czkm":
             raise SystemExit("--optimize supports swap and stirap")
-        T = rec.t_opt
+        T = optimum(args.kind, g, args.steps_per_tau).t_opt
     else:
         if args.t is None:
             raise SystemExit("need --t (or --optimize / --scan-t)")
@@ -152,6 +149,7 @@ def cmd_protocol(args) -> int:
 def cmd_scan(args) -> int:
     grid = [float(g) for g in args.grid.split(",")]
     protocols = tuple(args.protocols.split(","))
+    loss_error(0.0, args.kappa_tau)  # a bad kappa fails here, before any run
     status = 0
     if args.loss:
         out = loss_scan(grid, kappa_tau=args.kappa_tau, protocols=protocols,
@@ -166,14 +164,13 @@ def cmd_scan(args) -> int:
     for kind in protocols:
         for g in grid:
             try:
-                recs = scan_protocols([g], (kind,), args.steps_per_tau)
-                records.append(recs[0])
+                records.append(optimum(kind, g, args.steps_per_tau))
             except Exception as exc:  # keep scanning, flag the row
                 status = 1
                 records.append(ScanRecord(kind, g, float("nan"), float("nan"),
                                           note=f"error: {exc}"))
     rows = [(r.protocol, r.gamma0_tau, r.t_opt, r.infidelity,
-             1.0 - math.exp(-args.kappa_tau * r.loss_integral), r.note)
+             loss_error(r.loss_integral, args.kappa_tau), r.note)
             for r in records]
     write_csv(args.out, ["protocol", "gamma0_tau", "T_opt_over_tau",
                          "infidelity", "loss_error", "note"], rows, _meta())
@@ -197,7 +194,7 @@ def _ww_overlay(records, args):
         grid = make_grid(1.0, r.t_opt, M)
         pulses = make_pulses(ProtocolSpec(r.protocol, r.gamma0_tau, r.t_opt), link)
         traj = evolve_ww(link, modes, pulses, (1.0, 0.0), grid)
-        F = abs(traj.amplitude_at(1, r.t_opt)) ** 2
+        F = fidelity(traj, r.t_opt)
         out.append({"protocol": r.protocol, "gamma0_tau": r.gamma0_tau,
                     "T_over_tau": r.t_opt, "ww_infidelity": 1.0 - F})
     return out
@@ -247,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float)
     p.add_argument("--t-max", type=float)
     p.add_argument("--t-step", type=float, default=0.25)
-    p.add_argument("--kappa-tau", type=float, default=0.0)
+    p.add_argument("--kappa-tau", type=float, default=0.0, help="loss rate kappa*tau >= 0")
     p.add_argument("--steps-per-tau", type=int, default=200)
     p.add_argument("--out", default="protocol.json")
     p.set_defaults(func=cmd_protocol)
@@ -257,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocols", default="swap,stirap,czkm")
     p.add_argument("--loss", action="store_true",
                    help="loss-error scan instead of infidelity scan")
-    p.add_argument("--kappa-tau", type=float, default=0.01)
+    p.add_argument("--kappa-tau", type=float, default=0.01, help="loss rate kappa*tau >= 0")
     p.add_argument("--ww", action="store_true",
                    help="append mode-resolved cross-check records")
     p.add_argument("--delta-fsr", type=float, default=50.0)

@@ -115,9 +115,6 @@ class PulseProfile:
             return float(max(np.max(self.values), 0.0))
         return float(self.params["gamma0"])
 
-    def __call__(self, t):
-        return eval_pulse(self, t)
-
 
 def eval_pulse(p: PulseProfile, t):
     """Evaluate a pulse at time(s) t.  Pure; 0 outside the support."""

@@ -238,7 +238,7 @@ def _kinks(traj: Trajectory, x, kind):
     return out
 
 
-def derivative_kinks(traj: Trajectory, link: LinkParams):
+def derivative_kinks(traj: Trajectory):
     """Measured one-sided derivative jumps of c at the echo arrival nodes.
 
     Uses third-order one-sided finite differences on the grid; valid for
@@ -247,6 +247,6 @@ def derivative_kinks(traj: Trajectory, link: LinkParams):
     return _kinks(traj, traj.c[0], complex)
 
 
-def population_kinks(traj: Trajectory, link: LinkParams):
+def population_kinks(traj: Trajectory):
     """One-sided derivative jumps of the excited-state population |c|^2."""
     return _kinks(traj, np.abs(traj.c[0]) ** 2, float)

@@ -56,24 +56,5 @@ def write_csv(path, columns, rows, meta=None) -> Path:
 def write_json(path, obj) -> Path:
     """Write a JSON document with sorted keys (deterministic bytes)."""
     p = resolve_output(path)
-    p.write_text(json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n")
+    p.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return p
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays to JSON-native values."""
-    import numpy as np
-
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj

@@ -12,6 +12,9 @@ so the photon (delayed by tau) always meets a time-mirrored absorber.  With
 this offset the shifted couplings are exactly complementary,
 gamma_1(t) + gamma_2(t + tau) = gamma_0, which is what makes the dark
 amplitude stationary and the closed-form error formula exact.
+
+`transfer` makes every protocol run; `fidelity` and `loss_error` (kappa >= 0)
+hold the only copies of the fidelity and loss formulas.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (LinkParams, PulseProfile, TimeGrid, Trajectory,
-                   constant_pulse, eval_pulse, make_grid, sampled_pulse,
-                   sin2_pulse, tanh_pulse)
+from .core import (LinkParams, PulseProfile, Trajectory, constant_pulse, eval_pulse,
+                   make_grid, sampled_pulse, sin2_pulse, tanh_pulse)
 from .dde import evolve_pair, evolve_single
 
 _KINDS = ("swap", "stirap", "czkm")
@@ -34,16 +36,11 @@ _DENOM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """One protocol run: family, coupling cap gamma0, duration T.
-
-    t_c (czkm only) is the receiver's switching center; None means the
-    symmetric default T/2 + tau/2.
-    """
+    """One protocol run: family, coupling cap gamma0, duration T."""
 
     kind: str
     gamma0: float
     duration: float
-    t_c: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -62,7 +59,7 @@ def make_pulses(spec: ProtocolSpec, link: LinkParams):
     if spec.kind == "czkm":
         if T <= tau:
             raise ValueError("czkm needs duration > tau")
-        t_c = spec.t_c if spec.t_c is not None else 0.5 * T + 0.5 * tau
+        t_c = 0.5 * T + 0.5 * tau
         sender_center = t_c - tau
         p1 = tanh_pulse(g0, sender_center, (0.0, T))
         p2 = tanh_pulse(g0, sender_center, (0.0, T),
@@ -202,11 +199,11 @@ def photon_integral(traj: Trajectory) -> float:
     return float(np.trapezoid(traj.photon_number(), traj.t))
 
 
-def loss_error(traj: Trajectory, kappa: float) -> float:
-    """Loss-induced infidelity 1 - exp(-kappa * integral n(t) dt)."""
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    return 1.0 - math.exp(-kappa * photon_integral(traj))
+def loss_error(n_int: float, kappa: float) -> float:
+    """Loss-induced infidelity 1 - exp(-kappa * n_int), n_int = integral n(t) dt."""
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
+    return 1.0 - math.exp(-kappa * n_int)
 
 
 def transfer(spec: ProtocolSpec, link: LinkParams,
@@ -229,7 +226,7 @@ def run_protocol(spec: ProtocolSpec, link: LinkParams,
         "T_over_tau": spec.duration / link.tau,
         "fidelity": F,
         "error": 1.0 - F,
-        "loss_error": 1.0 - math.exp(-kappa * n_int),
+        "loss_error": loss_error(n_int, kappa),
         "photon_integral": n_int,
         "kappa_tau": kappa * link.tau,
     }

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import make_link
 from .protocols import (ProtocolSpec, czkm_exact_error, fidelity,
-                        photon_integral, transfer)
+                        loss_error, photon_integral, transfer)
 
 log = logging.getLogger(__name__)
 
@@ -168,24 +168,24 @@ def czkm_record(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
                       czkm_exact_error(gamma0_tau, 1.0, T, steps_per_tau))
 
 
+def optimum(kind: str, gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
+    """Optimized record of one protocol (swap, stirap or czkm) at one coupling."""
+    if gamma0_tau <= 0:
+        raise ValueError("gamma0_tau grid must be positive")
+    if kind == "swap":
+        return optimal_swap(gamma0_tau, steps_per_tau)
+    if kind == "stirap":
+        return optimal_stirap(gamma0_tau, steps_per_tau)
+    if kind == "czkm":
+        return czkm_record(gamma0_tau, steps_per_tau)
+    raise ValueError(f"unknown protocol {kind!r}")
+
+
 def scan_protocols(gamma0_tau_grid, protocols=("swap", "stirap", "czkm"),
                    steps_per_tau: int = 200) -> list:
     """Optimized records for each requested protocol over a coupling grid."""
     grid = [float(g) for g in gamma0_tau_grid]
-    if any(g <= 0 for g in grid):
-        raise ValueError("gamma0_tau grid must be positive")
-    out = []
-    for kind in protocols:
-        for g in grid:
-            if kind == "swap":
-                out.append(optimal_swap(g, steps_per_tau))
-            elif kind == "stirap":
-                out.append(optimal_stirap(g, steps_per_tau))
-            elif kind == "czkm":
-                out.append(czkm_record(g, steps_per_tau))
-            else:
-                raise ValueError(f"unknown protocol {kind!r}")
-    return out
+    return [optimum(kind, g, steps_per_tau) for kind in protocols for g in grid]
 
 
 def crossover(records) -> float | None:
@@ -229,7 +229,7 @@ def loss_scan(gamma0_tau_grid, kappa_tau: float = 0.01,
 
     For each coupling the duration follows the protocol's own rule
     (swap: pi/sqrt(g0 tau); stirap, czkm: 9/sqrt(g0 tau)), the full DDE run
-    supplies the photon-number integral, and the loss error is
+    supplies the photon-number integral, and `loss_error` turns it into
     1 - exp(-kappa * integral n dt).  Returns per-protocol rows
     (T/tau, loss_error) plus a power-law fit of loss vs duration.
     """
@@ -240,8 +240,7 @@ def loss_scan(gamma0_tau_grid, kappa_tau: float = 0.01,
             g = float(g)
             T = (math.pi if kind == "swap" else 9.0) / math.sqrt(g)
             n_int = photon_integral(_run(kind, g, T, steps_per_tau))
-            eps = 1.0 - math.exp(-kappa_tau * n_int)
-            rows.append((T, eps))
+            rows.append((T, loss_error(n_int, kappa_tau)))
         a, b, resid = fit_power_law(rows)
         out[kind] = {"rows": rows, "fit": {"prefactor": a, "exponent": b,
                                            "residual": resid}}

@@ -11,6 +11,9 @@ with g_{k,1} = sqrt(gamma_1(t)/(2 tau)) and g_{k,2} = s_k * g_{k,1}-like,
 where the standing-wave parity s_k = (-1)^k fixes the sign of mode k at
 the far end of the link.  The coupling normalization sqrt(gamma/(2 tau))
 makes the Markovian decay rate of a single emitter equal gamma.
+
+A run keeps the link photon number sum_k |alpha_k|^2 at each grid node
+(`WWTrajectory.photon`), not the mode amplitudes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LinkParams, PulseProfile, TimeGrid, Trajectory, eval_pulse
+from .core import LinkParams, TimeGrid, Trajectory, eval_pulse
 
 _MAX_PHASE_STEP = 0.5
 
@@ -65,15 +68,12 @@ class WWTrajectory(Trajectory):
 
     photon: np.ndarray = field(default_factory=lambda: np.empty(0))
     modes: ModeSet | None = None
-    alpha_final: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=complex))
-    alpha_snapshots: dict = field(default_factory=dict)
 
     def photon_number(self) -> np.ndarray:
         return self.photon
 
 
-def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid,
-              snapshot_times=()) -> WWTrajectory:
+def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> WWTrajectory:
     """Fixed-step RK4 integration of the emitter + mode amplitudes.
 
     pulses: (pulse1, pulse2); c0: initial (c1, c2).  The mode loop is
@@ -98,14 +98,11 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid,
     g_h = (scale * np.sqrt([eval_pulse(p, t_nodes[:-1] + 0.5 * h) for p in pulses])).T
     s = modes.parity
 
-    snap_idx = {grid.index_of(ts): ts for ts in snapshot_times}
-
     c = np.empty((2, N + 1), dtype=complex)
     photon = np.empty(N + 1)
     c[:, 0] = c01, c02
     alpha = np.zeros(modes.n_modes, dtype=complex)
     photon[0] = float(np.sum(np.abs(alpha) ** 2))
-    snapshots = {}
 
     def phases(t):
         ph = np.exp(i_nu * t)
@@ -136,21 +133,13 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid,
         c[1, i + 1] = x2 + (h / 6.0) * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
         alpha = a + (h / 6.0) * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
         photon[i + 1] = float(np.sum(np.abs(alpha) ** 2))
-        if i + 1 in snap_idx:
-            snapshots[snap_idx[i + 1]] = alpha.copy()
 
     return WWTrajectory(
         grid=grid, link=link, c=c,
         gamma_samples=gamma,
         b_out=np.zeros_like(c), echo_delay_steps=2 * grid.steps_per_tau,
-        echo_phase=2.0 * link.phi,
-        photon=photon, modes=modes, alpha_final=alpha, alpha_snapshots=snapshots,
+        echo_phase=2.0 * link.phi, photon=photon, modes=modes,
     )
-
-
-def photon_number(traj: WWTrajectory, t: float) -> float:
-    """Total photons in the link, sum_k |alpha_k(t)|^2, at a grid point."""
-    return float(traj.photon[traj.grid.index_of(t)])
 
 
 def unitarity_defect(traj: WWTrajectory) -> float:
@@ -158,12 +147,3 @@ def unitarity_defect(traj: WWTrajectory) -> float:
     total = np.sum(np.abs(traj.c) ** 2, axis=0) + traj.photon
     return float(np.max(np.abs(total - 1.0)))
 
-
-def snapshot_rows(traj: WWTrajectory, t: float):
-    """(k, omega_k, Re alpha_k, Im alpha_k) rows of a stored snapshot."""
-    if t not in traj.alpha_snapshots:
-        raise KeyError(f"no snapshot stored at t={t}")
-    a = traj.alpha_snapshots[t]
-    m = traj.modes
-    return [(int(k), float(w), float(x.real), float(x.imag))
-            for k, w, x in zip(m.indices, m.omegas, a)]

@@ -77,14 +77,14 @@ def test_criterion_03_echo_kink_formula():
         grid = make_grid(TAU, 6.0, 400)
         pulse = constant_pulse(gamma, (0.0, grid.t_end))
         traj = evolve_single(link, pulse, 1.0, grid, round_trip=(TAU, phi))
-        kinks = derivative_kinks(traj, link)
+        kinks = derivative_kinks(traj)
         want = -gamma * complex(np.exp(1j * phi))
         rel = abs(kinks[0][1] - want) / abs(want)
         details.append(f"first-echo jump rel err {rel:.1e}")
         ok &= rel < 0.01
         ok &= all(abs(j) <= gamma * (1 + 1e-6) for _, j in kinks)
         ok &= all(abs(j) <= 2 * gamma * (1 + 1e-6)
-                  for _, j in population_kinks(traj, link))
+                  for _, j in population_kinks(traj))
     report(3, "derivative-jump formula at echoes", ok,
            "; ".join(details) + "; magnitudes within gamma / 2*gamma")
 

@@ -66,7 +66,7 @@ class TestJumpFormula:
             grid = make_grid(1.0, 4.0, 400)
             pulse = constant_pulse(gamma, (0.0, 4.0))
             traj = evolve_single(link, pulse, 1.0, grid, round_trip=(1.0, phi))
-            kinks = derivative_kinks(traj, link)
+            kinks = derivative_kinks(traj)
             t1, jump = kinks[0]
             assert t1 == pytest.approx(1.0)
             want = jump_formula(1, gamma, phi, 1.0)
@@ -78,9 +78,9 @@ class TestJumpFormula:
         grid = make_grid(1.0, 8.0, 400)
         pulse = constant_pulse(gamma, (0.0, 8.0))
         traj = evolve_single(link, pulse, 1.0, grid, round_trip=(1.0, phi))
-        for _, jump in derivative_kinks(traj, link):
+        for _, jump in derivative_kinks(traj):
             assert abs(jump) <= gamma * (1.0 + 1e-6)
-        for _, jump in population_kinks(traj, link):
+        for _, jump in population_kinks(traj):
             assert abs(jump) <= 2.0 * gamma * (1.0 + 1e-6)
 
     def test_validation(self):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+import shortlink.protocols
 from shortlink.cli import main
 
 
@@ -148,6 +150,9 @@ class TestProtocol:
     def test_missing_duration_exits(self, outdir):
         with pytest.raises(SystemExit):
             run("protocol", "swap", "--gamma-tau", "0.2", "--out", "no.json")
+        with pytest.raises(SystemExit, match="^--optimize supports swap and stirap$"):
+            run("protocol", "czkm", "--gamma-tau", "1", "--optimize", "--out", "no.json")
+        assert not (outdir / "no.json").exists()
 
     def test_kappa_adds_loss(self, outdir):
         assert run("protocol", "stirap", "--gamma-tau", "0.2", "--t", "20",
@@ -166,6 +171,24 @@ def test_unread_flags_refused(outdir, argv):
     with pytest.raises(SystemExit):
         run(*argv, "--out", "x.out")
     assert not (outdir / "x.out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("protocol", "swap", "--gamma-tau", "0.2", "--t", "3", "--kappa-tau", "-1"),
+    ("protocol", "stirap", "--gamma-tau", "0.2", "--optimize", "--kappa-tau", "nan"),
+    ("protocol", "swap", "--gamma-tau", "0.2", "--scan-t", "--kappa-tau", "inf"),
+    ("scan", "--protocols", "czkm", "--grid", "0.5", "--kappa-tau", "nan"),
+    ("scan", "--protocols", "swap", "--grid", "0.5", "--kappa-tau", "-0.01"),
+    ("scan", "--loss", "--protocols", "czkm", "--grid", "0.5,1,2", "--kappa-tau", "-1"),
+])
+def test_invalid_kappa_exits_before_any_run(outdir, capsys, monkeypatch, argv):
+    runs = []
+    for name in ("evolve_pair", "evolve_single"):
+        monkeypatch.setattr(shortlink.protocols, name, lambda *a, **k: runs.append(a))
+    assert run(*argv, "--out", "x.out") == 1
+    assert "error: kappa must be finite and >= 0, got" in capsys.readouterr().err
+    assert runs == []
+    assert list(outdir.iterdir()) == []
 
 
 class TestScan:
@@ -192,6 +215,19 @@ class TestScan:
                    "--out", "bad.csv") == 1
         text = (outdir / "bad.csv").read_text()
         assert "error:" in text
+        # a non-finite or non-positive coupling flags its row with this note
+        assert run("scan", "--grid", "nan,-1", "--out", "bad.csv") == 1
+        lines = [l for l in (outdir / "bad.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        assert lines == [
+            "protocol,gamma0_tau,T_opt_over_tau,infidelity,loss_error,note",
+            "swap,nan,nan,nan,0,error: gamma0 must be finite, got nan",
+            "swap,-1,nan,nan,0,error: gamma0_tau grid must be positive",
+            "stirap,nan,nan,nan,0,error: gamma0 must be finite, got nan",
+            "stirap,-1,nan,nan,0,error: gamma0_tau grid must be positive",
+            "czkm,nan,nan,nan,0,error: t_end must be finite, got nan",
+            "czkm,-1,nan,nan,0,error: gamma0_tau grid must be positive",
+        ]
 
     def test_loss_scan_outputs_fits(self, outdir):
         assert run("scan", "--loss", "--grid", "0.05,0.1,0.2,0.5",
@@ -201,3 +237,22 @@ class TestScan:
         assert len(rows) == 4
         fits = json.loads((outdir / "loss.csv.fits.json").read_text())
         assert fits["czkm"]["exponent"] > 0.0
+
+
+# SHA-256 of outputs written by the code before any refactor that must keep
+# every printed digit; a moved digit anywhere in these files fails here.
+@pytest.mark.parametrize("argv, digest", [
+    (("simulate", "--gamma-tau", "1.3", "--emitters", "2"),
+     "957e08cc317092d4223e102c7d1a610bf78e4997d7f436591b60930d63a18cec"),
+    (("protocol", "swap", "--gamma-tau", "0.2", "--scan-t",
+      "--t-min", "2", "--t-max", "4"),
+     "347071bda2fc5ee6c20d6de0e36e714fcb46388e4fec16d37bd42f33bcc9e48e"),
+    (("protocol", "swap", "--gamma-tau", "0.2", "--optimize"),
+     "b665e3e5ef60ccd428c93944be42b509ca36dff6f9ddc80a8fa54e0f2eba81aa"),
+    (("spectrum", "--gamma-tau", "0.15", "--delta-steps", "3",
+      "--omega-steps", "51", "--format", "json"),
+     "9aaabacd7a97aa382e014b0ac76aee6e487f2a856f5a5d42479318e0d6857631"),
+])
+def test_output_bytes_pinned(outdir, argv, digest):
+    assert run(*argv, "--out", "pinned.out") == 0
+    assert hashlib.sha256((outdir / "pinned.out").read_bytes()).hexdigest() == digest

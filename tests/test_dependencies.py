@@ -36,3 +36,20 @@ def test_runtime_imports_only_stdlib_numpy_and_itself():
     assert found  # the walk saw the imports
     bad = sorted((f, m) for f, m in found if m.split(".")[0] not in allowed)
     assert bad == []
+
+
+def test_no_unused_module_level_imports():
+    unused = []
+    for path in sorted((SRC / "shortlink").glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [(path.name, name) for name in sorted(bound - used)]
+    assert unused == []

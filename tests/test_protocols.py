@@ -27,8 +27,8 @@ class TestMakePulses:
 
     def test_stirap_counterintuitive_order(self):
         p1, p2 = make_pulses(ProtocolSpec("stirap", 1.0, 20.0), link_for(1.0))
-        assert p1(0.0) == 0.0 and p2(0.0) == pytest.approx(1.0)
-        assert p1(20.0) == pytest.approx(1.0) and p2(20.0) == 0.0
+        assert eval_pulse(p1, 0.0) == 0.0 and eval_pulse(p2, 0.0) == pytest.approx(1.0)
+        assert eval_pulse(p1, 20.0) == pytest.approx(1.0) and eval_pulse(p2, 20.0) == 0.0
         # mirror identity on the grid
         t = np.linspace(0.0, 20.0, 81)
         np.testing.assert_array_equal(eval_pulse(p2, t), eval_pulse(p1, 20.0 - t))
@@ -44,7 +44,7 @@ class TestMakePulses:
     def test_czkm_receiver_center(self):
         g0, T = 0.4, 30.0
         _, p2 = make_pulses(ProtocolSpec("czkm", g0, T), link_for(g0))
-        assert p2(0.5 * T + 0.5 * TAU) == pytest.approx(0.5 * g0)
+        assert eval_pulse(p2, 0.5 * T + 0.5 * TAU) == pytest.approx(0.5 * g0)
 
     def test_resource_cap(self):
         for kind, T in (("swap", 8.0), ("stirap", 8.0), ("czkm", 8.0)):
@@ -186,9 +186,11 @@ class TestLossAndRecords:
         g, T = 0.2, 10.0
         link = link_for(g)
         traj, _ = run_protocol(ProtocolSpec("swap", g, T), link)
-        assert loss_error(traj, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            loss_error(traj, -1.0)
+        n_int = photon_integral(traj)
+        assert loss_error(n_int, 0.0) == 0.0
+        for kappa in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+                loss_error(n_int, kappa)
 
     def test_record_fields(self):
         g, T = 0.2, 10.0

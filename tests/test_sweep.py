@@ -8,7 +8,8 @@ from shortlink.core import make_link
 from shortlink.protocols import ProtocolSpec, run_protocol
 from shortlink.sweep import (ScanRecord, _error, _golden, crossover,
                              error_vs_duration, fit_power_law, loss_scan,
-                             optimal_stirap, optimal_swap, scan_protocols)
+                             optimal_stirap, optimal_swap, optimum,
+                             scan_protocols)
 
 
 def _both(f, bracket, tol):
@@ -141,6 +142,13 @@ class TestScanProtocols:
         assert crossover(recs) == 2.0
         assert crossover(recs[:2]) is None
 
+    def test_scan_is_optimum_per_kind_and_coupling(self):
+        grid, kinds = [0.5, 2.0], ("czkm", "swap", "stirap")
+        recs = scan_protocols(grid, kinds)
+        assert recs == [optimum(k, g) for k in kinds for g in grid]
+        assert [(r.protocol, r.gamma0_tau) for r in recs] == [
+            (k, g) for k in kinds for g in grid]
+
     def test_czkm_rule_duration(self):
         recs = scan_protocols([0.25], protocols=("czkm",))
         assert len(recs) == 1
@@ -152,6 +160,12 @@ class TestScanProtocols:
             scan_protocols([0.1, -0.2], protocols=("czkm",))
         with pytest.raises(ValueError):
             scan_protocols([0.1], protocols=("teleport",))
+        for kind in ("swap", "stirap", "czkm", "teleport"):
+            for g in (0.0, -0.2):
+                with pytest.raises(ValueError, match="^gamma0_tau grid must be positive$"):
+                    optimum(kind, g)
+        with pytest.raises(ValueError, match="^unknown protocol 'teleport'$"):
+            optimum("teleport", 0.1)
 
 
 @pytest.mark.parametrize("kind,g,Ts", [

@@ -5,8 +5,7 @@ import pytest
 
 from shortlink.core import constant_pulse, make_grid, make_link
 from shortlink.dde import evolve_pair, evolve_single
-from shortlink.ww import (build_modes, evolve_ww, photon_number,
-                          snapshot_rows, unitarity_defect)
+from shortlink.ww import build_modes, evolve_ww, unitarity_defect
 
 
 class TestBuildModes:
@@ -79,17 +78,3 @@ class TestEvolveWW:
         for c0 in ((math.nan, 0.0), (0.5, complex(0.0, math.inf))):
             with pytest.raises(ValueError, match="finite"):
                 evolve_ww(link, build_modes(link, 5), (p, p), c0, grid)
-
-    def test_snapshots_and_photon_number(self):
-        link = make_link(0.2, 1.0, 50 * math.pi)
-        grid = make_grid(1.0, 4.0, 400)
-        p = constant_pulse(0.2, (0.0, 4.0))
-        modes = build_modes(link, 41)
-        traj = evolve_ww(link, modes, (p, p), (1.0, 0.0), grid,
-                         snapshot_times=(2.0,))
-        rows = snapshot_rows(traj, 2.0)
-        assert len(rows) == 41
-        total = sum(re * re + im * im for _, _, re, im in rows)
-        assert total == pytest.approx(photon_number(traj, 2.0), rel=1e-12)
-        with pytest.raises(KeyError):
-            snapshot_rows(traj, 3.0)
