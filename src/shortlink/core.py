@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+NON_FINITE = "non-finite amplitude; check the couplings for NaN or inf"
 
 
 def _check_finite(name, value):

@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from .core import LinkParams, PulseProfile, TimeGrid, Trajectory, eval_pulse, phase_factor
+from .core import (NON_FINITE, LinkParams, PulseProfile, TimeGrid, Trajectory, eval_pulse,
+                   phase_factor)
 
 # cubic Lagrange weights for a value midway between stencil nodes
 # rows: delayed point between nodes (S, S+1), (S+1, S+2), (S+2, S+3)
@@ -63,7 +64,7 @@ def _cmul(z, w):
 def _check_norm(c: np.ndarray) -> None:
     excess = float(np.max(np.sum(np.abs(c) ** 2, axis=0))) - 1.0
     if not math.isfinite(excess):
-        raise RuntimeError("non-finite amplitude; check the couplings for NaN or inf")
+        raise RuntimeError(NON_FINITE)
     if excess > _NORM_SLACK:
         raise RuntimeError(f"single-excitation norm exceeded 1 by {excess:.3e}; grid too coarse")
 

@@ -217,6 +217,7 @@ def transfer(spec: ProtocolSpec, link: LinkParams,
 def run_protocol(spec: ProtocolSpec, link: LinkParams,
                  steps_per_tau: int = 200, kappa: float = 0.0):
     """Integrate one protocol and summarize it as a JSON-ready record."""
+    loss_error(0.0, kappa)  # a bad kappa fails here, before the run
     traj = transfer(spec, link, steps_per_tau)
     F = fidelity(traj, spec.duration)
     n_int = photon_integral(traj)

@@ -231,13 +231,18 @@ def loss_scan(gamma0_tau_grid, kappa_tau: float = 0.01,
     (swap: pi/sqrt(g0 tau); stirap, czkm: 9/sqrt(g0 tau)), the full DDE run
     supplies the photon-number integral, and `loss_error` turns it into
     1 - exp(-kappa * integral n dt).  Returns per-protocol rows
-    (T/tau, loss_error) plus a power-law fit of loss vs duration.
+    (T/tau, loss_error) plus a power-law fit of loss vs duration.  kappa and
+    every coupling are checked before the first run.
     """
+    loss_error(0.0, kappa_tau)
+    grid = [float(g) for g in gamma0_tau_grid]
+    for g in grid:
+        if not 0 < g < math.inf:
+            raise ValueError(f"gamma0_tau grid must be finite and > 0, got {g}")
     out = {}
     for kind in protocols:
         rows = []
-        for g in gamma0_tau_grid:
-            g = float(g)
+        for g in grid:
             T = (math.pi if kind == "swap" else 9.0) / math.sqrt(g)
             n_int = photon_integral(_run(kind, g, T, steps_per_tau))
             rows.append((T, loss_error(n_int, kappa_tau)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LinkParams, TimeGrid, Trajectory, eval_pulse
+from .core import NON_FINITE, LinkParams, TimeGrid, Trajectory, eval_pulse
 
 _MAX_PHASE_STEP = 0.5
 
@@ -76,10 +76,12 @@ class WWTrajectory(Trajectory):
 def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> WWTrajectory:
     """Fixed-step RK4 integration of the emitter + mode amplitudes.
 
-    pulses: (pulse1, pulse2); c0: initial (c1, c2).  The mode loop is
-    vectorized with a fixed summation order, so results are reproducible
-    bit-for-bit.
+    pulses: (pulse1, pulse2), whose samples must be finite; c0: initial
+    (c1, c2).  The mode loop is vectorized with a fixed summation order, so
+    results are reproducible bit-for-bit.
     """
+    if len(pulses) != 2:
+        raise ValueError("evolve_ww needs exactly two pulses")
     c01, c02 = complex(c0[0]), complex(c0[1])
     if not abs(c01) ** 2 + abs(c02) ** 2 <= 1.0 + 1e-9:  # NaN fails too
         raise ValueError("initial amplitudes must be finite with norm <= 1 "
@@ -96,43 +98,53 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     scale = 1.0 / math.sqrt(2.0 * link.tau)
     g_n = (scale * np.sqrt(gamma)).T  # (g1, g2) at each node
     g_h = (scale * np.sqrt([eval_pulse(p, t_nodes[:-1] + 0.5 * h) for p in pulses])).T
+    if not (np.isfinite(g_n).all() and np.isfinite(g_h).all()):
+        raise ValueError(NON_FINITE)
     s = modes.parity
+    odd = (s < 0).astype(np.intp)
+    sum_ = np.add.reduce  # np.sum's pairwise reduction, without its wrapper
 
     c = np.empty((2, N + 1), dtype=complex)
     photon = np.empty(N + 1)
     c[:, 0] = c01, c02
-    alpha = np.zeros(modes.n_modes, dtype=complex)
-    photon[0] = float(np.sum(np.abs(alpha) ** 2))
+    a = np.zeros(modes.n_modes, dtype=complex)  # mode amplitudes alpha_k
+    photon[0] = sum_(np.abs(a) ** 2)
 
     def phases(t):
+        # rows (ph, s ph) with ph = e^{-i nu t}, and back = -i e^{+i nu t}
         ph = np.exp(i_nu * t)
-        return ph, -1j * np.conj(ph)
+        return np.array((ph, s * ph)), -1j * np.conj(ph)
 
-    def rhs(ph, back, a, x1, x2, g1, g2):
-        # ph = e^{-i nu t}, back = -i e^{+i nu t}; returns (dc1, dc2, dalpha)
-        pa = ph * a
-        dc1 = -1j * g1 * np.sum(pa)
-        dc2 = -1j * g2 * np.sum(s * pa)
-        da = back * (g1 * x1 + g2 * x2 * s)
-        return dc1, dc2, da
+    def rhs(rows, back, a, x1, x2, g1, g2):
+        # returns (dc1, dc2, dalpha).  Since s = +-1, (s ph) a = s (ph a)
+        # exactly, and the forcing g1 x1 + g2 x2 s takes two values; the
+        # factors 1.0 and -1.0 round signed zeros as numpy's x * s does
+        sa1, sa2 = sum_(rows * a, 1).tolist()
+        f1, f2 = g1 * x1, g2 * x2
+        force = np.array((f1 + f2 * 1.0, f1 + f2 * -1.0))[odd]
+        return -1j * g1 * sa1, -1j * g2 * sa2, back * force
 
+    hh, h6 = 0.5 * h, h / 6.0
+    # the emitter amplitudes stay Python complex: numpy scalar arithmetic
+    # rounds the same but dispatches on every operation
+    x1, x2 = c01, c02
     for i in range(N):
         t0 = t_nodes[i]
         # a step starts where the last ended unless i h rounds differently
         ph0 = ph1 if i and t0 == t_nodes[i - 1] + h else phases(t0)
-        phh = phases(t0 + 0.5 * h)
+        phh = phases(t0 + hh)
         ph1 = phases(t0 + h)
         ga, gh, gb = g_n[i].tolist(), g_h[i].tolist(), g_n[i + 1].tolist()
 
-        x1, x2, a = c[0, i], c[1, i], alpha
         k1 = rhs(*ph0, a, x1, x2, *ga)
-        k2 = rhs(*phh, a + 0.5 * h * k1[2], x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], *gh)
-        k3 = rhs(*phh, a + 0.5 * h * k2[2], x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], *gh)
+        k2 = rhs(*phh, a + hh * k1[2], x1 + hh * k1[0], x2 + hh * k1[1], *gh)
+        k3 = rhs(*phh, a + hh * k2[2], x1 + hh * k2[0], x2 + hh * k2[1], *gh)
         k4 = rhs(*ph1, a + h * k3[2], x1 + h * k3[0], x2 + h * k3[1], *gb)
-        c[0, i + 1] = x1 + (h / 6.0) * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        c[1, i + 1] = x2 + (h / 6.0) * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        alpha = a + (h / 6.0) * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        photon[i + 1] = float(np.sum(np.abs(alpha) ** 2))
+        x1 = x1 + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        x2 = x2 + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        c[:, i + 1] = x1, x2
+        a = a + h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+        photon[i + 1] = sum_(np.abs(a) ** 2)
 
     return WWTrajectory(
         grid=grid, link=link, c=c,

@@ -229,6 +229,15 @@ class TestScan:
             "czkm,-1,nan,nan,0,error: gamma0_tau grid must be positive",
         ]
 
+    @pytest.mark.parametrize("g", ["0", "-1", "nan"])
+    def test_loss_scan_rejects_bad_coupling(self, outdir, capsys, g):
+        assert run("scan", "--loss", "--grid", g, "--protocols", "czkm",
+                   "--out", "loss.csv") == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: gamma0_tau grid must be finite and > 0, got {float(g)}"]
+        assert list(outdir.iterdir()) == []
+
     def test_loss_scan_outputs_fits(self, outdir):
         assert run("scan", "--loss", "--grid", "0.05,0.1,0.2,0.5",
                    "--protocols", "czkm", "--kappa-tau", "0.01",

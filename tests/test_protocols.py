@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+import shortlink.protocols
 from shortlink.core import eval_pulse, make_grid, make_link
 from shortlink.dde import evolve_pair
 from shortlink.protocols import (DarkBrightState, ProtocolSpec, czkm_bound,
                                  czkm_exact_error, dark_bright, fidelity,
                                  loss_error, make_pulses, photon_integral,
                                  run_protocol, shaped_pulse)
+from shortlink.sweep import loss_scan
 
 TAU = 1.0
 
@@ -191,6 +193,17 @@ class TestLossAndRecords:
         for kappa in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
                 loss_error(n_int, kappa)
+
+    @pytest.mark.parametrize("kappa", [-1.0, math.nan, math.inf])
+    def test_bad_kappa_fails_before_any_run(self, monkeypatch, kappa):
+        runs = []
+        monkeypatch.setattr(shortlink.protocols, "evolve_pair",
+                            lambda *a, **k: runs.append(a))
+        with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+            run_protocol(ProtocolSpec("swap", 0.2, 10.0), link_for(0.2), kappa=kappa)
+        with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+            loss_scan([0.2, 0.5], kappa_tau=kappa, protocols=("swap", "czkm"))
+        assert runs == []
 
     def test_record_fields(self):
         g, T = 0.2, 10.0

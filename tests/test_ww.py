@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shortlink.core import constant_pulse, make_grid, make_link
+from shortlink.core import constant_pulse, eval_pulse, make_grid, make_link, sin2_pulse
 from shortlink.dde import evolve_pair, evolve_single
 from shortlink.ww import build_modes, evolve_ww, unitarity_defect
 
@@ -78,3 +78,97 @@ class TestEvolveWW:
         for c0 in ((math.nan, 0.0), (0.5, complex(0.0, math.inf))):
             with pytest.raises(ValueError, match="finite"):
                 evolve_ww(link, build_modes(link, 5), (p, p), c0, grid)
+
+    def test_pulse_count_validation(self):
+        link = make_link(0.1, 1.0, 50 * math.pi)
+        grid = make_grid(1.0, 1.0, 400)
+        p = constant_pulse(0.1, (0.0, 1.0))
+        for pulses in ((p,), (p, p, p)):
+            with pytest.raises(ValueError, match="exactly two pulses"):
+                evolve_ww(link, build_modes(link, 5), pulses, (1.0, 0.0), grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coupling_rejected(self, bad):
+        link = make_link(0.1, 1.0, 50 * math.pi)
+        grid = make_grid(1.0, 1.0, 400)
+        p = constant_pulse(0.1, (0.0, 1.0))
+        q = constant_pulse(bad, (0.0, 1.0))
+        for pulses in ((p, q), (q, p)):
+            with pytest.raises(ValueError, match="non-finite amplitude; check the couplings"):
+                evolve_ww(link, build_modes(link, 5), pulses, (1.0, 0.0), grid)
+
+
+def _reference_ww(link, modes, pulses, c0, grid):
+    """The step loop as first written (numpy scalars, np.sum, one mode
+    forcing per mode): the reference route evolve_ww must match bit for bit."""
+    i_nu = -1j * (modes.omegas - link.delta)
+    h = grid.h
+    N = grid.n_steps
+    t_nodes = grid.times()
+    gamma = np.array([eval_pulse(p, t_nodes) for p in pulses], dtype=float)
+    scale = 1.0 / math.sqrt(2.0 * link.tau)
+    g_n = (scale * np.sqrt(gamma)).T
+    g_h = (scale * np.sqrt([eval_pulse(p, t_nodes[:-1] + 0.5 * h) for p in pulses])).T
+    s = modes.parity
+
+    c = np.empty((2, N + 1), dtype=complex)
+    photon = np.empty(N + 1)
+    c[:, 0] = complex(c0[0]), complex(c0[1])
+    alpha = np.zeros(modes.n_modes, dtype=complex)
+    photon[0] = float(np.sum(np.abs(alpha) ** 2))
+
+    def phases(t):
+        ph = np.exp(i_nu * t)
+        return ph, -1j * np.conj(ph)
+
+    def rhs(ph, back, a, x1, x2, g1, g2):
+        pa = ph * a
+        dc1 = -1j * g1 * np.sum(pa)
+        dc2 = -1j * g2 * np.sum(s * pa)
+        da = back * (g1 * x1 + g2 * x2 * s)
+        return dc1, dc2, da
+
+    for i in range(N):
+        t0 = t_nodes[i]
+        ph0 = ph1 if i and t0 == t_nodes[i - 1] + h else phases(t0)
+        phh = phases(t0 + 0.5 * h)
+        ph1 = phases(t0 + h)
+        ga, gh, gb = g_n[i].tolist(), g_h[i].tolist(), g_n[i + 1].tolist()
+
+        x1, x2, a = c[0, i], c[1, i], alpha
+        k1 = rhs(*ph0, a, x1, x2, *ga)
+        k2 = rhs(*phh, a + 0.5 * h * k1[2], x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], *gh)
+        k3 = rhs(*phh, a + 0.5 * h * k2[2], x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], *gh)
+        k4 = rhs(*ph1, a + h * k3[2], x1 + h * k3[0], x2 + h * k3[1], *gb)
+        c[0, i + 1] = x1 + (h / 6.0) * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        c[1, i + 1] = x2 + (h / 6.0) * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+        alpha = a + (h / 6.0) * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
+        photon[i + 1] = float(np.sum(np.abs(alpha) ** 2))
+    return c, photon
+
+
+def _stirap(g, T):
+    return sin2_pulse(g, T), sin2_pulse(g, T, mirror=True)
+
+
+def _single(g, T):
+    return constant_pulse(g, (0.0, T)), constant_pulse(0.0, (0.0, T))
+
+
+# ramps that start at gamma = 0, a complex and a signed-zero start, off-resonant
+# Delta, a ladder clamped at the first mode, and one emitter
+@pytest.mark.parametrize("pulses, c0, delta_fsr, n_modes, steps", [
+    (_stirap(0.5, 3.0), (1.0, 0.0), 50.0, 41, 160),
+    (_stirap(0.5, 3.0), (0.6, 0.8j), 50.0, 41, 160),
+    (_stirap(1.0, 2.5), (-0.0, complex(-0.0, -0.0)), 50.3, 61, 200),
+    (_stirap(0.3, 2.5), (0.3 - 0.4j, -0.5 + 0.1j), 20.0, 41, 200),
+    (_single(0.3, 3.0), (1.0, 0.0), 50.3, 41, 160),
+])
+def test_matches_reference_route_bit_for_bit(pulses, c0, delta_fsr, n_modes, steps):
+    link = make_link(0.5, 1.0, delta_fsr * math.pi)
+    modes = build_modes(link, n_modes)
+    grid = make_grid(1.0, 3.0, steps)
+    traj = evolve_ww(link, modes, pulses, c0, grid)
+    c, photon = _reference_ww(link, modes, pulses, c0, grid)
+    assert np.array_equal(traj.c.view(np.uint64), c.view(np.uint64))
+    assert np.array_equal(traj.photon.view(np.uint64), photon.view(np.uint64))
