@@ -35,14 +35,16 @@ class SeriesParams:
     """Inputs of the echo-series solution.
 
     gamma: decay rate; delay: echo period; phi: per-echo phase.
-    alpha = i*omega_e + gamma/2 with omega_e = phi/delay is derived, never
-    stored.  n_max caps the number of echo generations.
+    n_max caps the number of echo generations.  The ladder e^{i n phi},
+    n = 0, 1, ..., is kept on the instance, grown on first use to the
+    largest order asked for; equality, hashing and repr ignore it.
     """
 
     gamma: float
     delay: float
     phi: float
     n_max: int = _N_MAX_HARD
+    _phases: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (all(map(math.isfinite, (self.gamma, self.delay, self.phi)))
@@ -51,20 +53,18 @@ class SeriesParams:
         if not (1 <= self.n_max <= _N_MAX_HARD):
             raise ValueError(f"n_max must be in [1, {_N_MAX_HARD}]")
 
-    @property
-    def omega_e(self) -> float:
-        return self.phi / self.delay
 
-    @property
-    def alpha(self) -> complex:
-        return 1j * self.omega_e + 0.5 * self.gamma
+# per echo order n, the recurrence factors (n - m, m (m + 1)) as floats for
+# m = 1 .. n-1; grown on first use, since the full 500-order table is MBs
+_RECURRENCE: tuple = ()
 
 
 def series_solution(p: SeriesParams, t: float) -> complex:
     """Exact c(t) for a single emitter with constant coupling.
 
     c(t) = e^{-gamma t/2} [1 + sum_n e^{n alpha delay} sum_m P_{n,m}(t)]
-    with P_{n,m}(t) = C(n-1, m-1) [-gamma (t - n delay)]^m / m!.
+    with P_{n,m}(t) = C(n-1, m-1) [-gamma (t - n delay)]^m / m!
+    and alpha = i phi/delay + gamma/2.
 
     Each echo generation n carries the combined factor
     e^{i n phi} e^{-gamma (t - n delay)/2}; the two exponentials are merged
@@ -75,9 +75,14 @@ def series_solution(p: SeriesParams, t: float) -> complex:
     useful domain to roughly gamma*t < 40 and one to two hundred echo
     generations; beyond that the cancellation noise dominates, so gamma*t
     above 40 (or NaN) raises ValueError.
+
+    The loops run on Python floats: numpy scalars (t from a TimeGrid) round
+    the same but pay numpy's dispatch on every operation.
     """
+    global _RECURRENCE
     if t < 0:
         raise ValueError("series solution is defined for t >= 0")
+    t = float(t)
     g, d = p.gamma, p.delay
     if not (g * t <= 40.0):
         raise ValueError(f"gamma*t = {g * t} is outside the series solution's "
@@ -87,21 +92,29 @@ def series_solution(p: SeriesParams, t: float) -> complex:
         raise ValueError(
             f"t/delay = {t / d:.1f} exceeds the echo truncation order n_max={p.n_max}"
         )
-    total = complex(math.exp(-0.5 * g * t))
+    # grown tables are replaced, never mutated, so a reader sees a whole one
+    phases, coeffs = p._phases, _RECURRENCE
+    if len(phases) <= n_t:
+        phases += tuple(phase_factor(p.phi, n) for n in range(len(phases), n_t + 1))
+        object.__setattr__(p, "_phases", phases)
+    if len(coeffs) <= n_t:
+        coeffs += tuple(tuple((float(n - m), float(m * (m + 1))) for m in range(1, n))
+                        for n in range(len(coeffs), n_t + 1))
+        _RECURRENCE = coeffs
+    h = -0.5 * g
+    total = complex(math.exp(h * t))
     for n in range(1, n_t + 1):
         dt = t - n * d
         if dt < 0:
             break
         x = -g * dt
-        scale = math.exp(-0.5 * g * dt)
-        phase = phase_factor(p.phi, n)
         # inner sum over m via the stable term recurrence, pre-scaled
-        term = x * scale
+        term = x * math.exp(h * dt)
         inner = term
-        for m in range(1, n):
-            term *= x * (n - m) / (m * (m + 1))
+        for a, b in coeffs[n]:
+            term *= x * a / b
             inner += term
-        total += phase * inner
+        total += phases[n] * inner
     return total
 
 
@@ -245,6 +258,8 @@ def output_amplitude(link: LinkParams, omega, broadening: float = 0.0):
     moves the evaluation off the real axis (the undamped poles are real), which
     turns each line into a finite Lorentzian of common width.
     """
+    if not math.isfinite(broadening):
+        raise ValueError(f"broadening must be finite, got {broadening}")
     w = np.asarray(omega, dtype=float)
     s = broadening - 1j * (w - link.delta)
     E = np.exp(1j * math.fmod(2.0 * link.phi, TWO_PI) - 2.0 * s * link.tau)
@@ -281,6 +296,7 @@ def spectrum_scan(gamma0: float, tau: float, delta_values, omega_grid, broadenin
     for delta in delta_values:
         link = make_link(gamma0, tau, delta)
         res = output_spectrum(link, omega_grid, broadening)
-        for w, p in zip(res.omegas, res.spectrum):
+        # Python floats: the CLI's rescale and the CSV writer run faster on them
+        for w, p in zip(res.omegas.tolist(), res.spectrum.tolist()):
             rows.append((delta, w, p))
     return rows

@@ -76,12 +76,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not math.isfinite(args.delta_fsr):
+        raise ValueError(f"--delta-fsr must be finite, got {args.delta_fsr}")
+    if args.delta_steps < 1:
+        raise ValueError(f"--delta-steps must be >= 1, got {args.delta_steps}")
+    if args.omega_steps < 2:
+        raise ValueError(f"--omega-steps must be >= 2, got {args.omega_steps}")
     gamma = args.gamma_tau
     d0 = args.delta_fsr * math.pi
-    if args.delta_steps <= 1:
-        deltas = [d0]
-    else:
-        deltas = list(np.linspace(d0, d0 + math.pi, args.delta_steps))
+    deltas = np.linspace(d0, d0 + math.pi, args.delta_steps).tolist()
     omegas = np.linspace(d0 - 0.5 * math.pi, d0 + 1.5 * math.pi, args.omega_steps)
     rows = spectrum_scan(gamma, 1.0, deltas, omegas, args.broadening)
     # rescale in place: a second copy of the heatmap would raise peak memory

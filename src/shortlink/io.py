@@ -11,6 +11,8 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 OUTPUT_DIR_ENV = "SHORTLINK_OUTDIR"
 
 
@@ -39,7 +41,13 @@ def resolve_output(path) -> Path:
 
 
 def write_csv(path, columns, rows, meta=None) -> Path:
-    """Write rows (iterable of sequences) with metadata comments and header."""
+    """Write rows (iterable of sequences) with metadata comments and header.
+
+    A float64 ndarray row becomes Python floats, and Python floats are
+    formatted inline: the same text as `fmt`, without a call or numpy's
+    dispatch per value.  Any other type (np.float32, np.bool_, ...) goes
+    through `fmt`, which renders it differently from its `.tolist()`.
+    """
     p = resolve_output(path)
     lines = []
     for key in (meta or {}):
@@ -48,7 +56,9 @@ def write_csv(path, columns, rows, meta=None) -> Path:
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(f"row width {len(row)} != {len(columns)} columns")
-        lines.append(",".join(fmt(v) for v in row))
+        if type(row) is np.ndarray and row.dtype == np.float64:
+            row = row.tolist()
+        lines.append(",".join([f"{v:.12g}" if type(v) is float else fmt(v) for v in row]))
     p.write_text("\n".join(lines) + "\n")
     return p
 

@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from shortlink.analytic import (SeriesParams, _brentq, _eigen_residual,
                                 output_amplitude, output_spectrum,
                                 resonant_splitting, series_solution,
                                 spectrum_scan)
-from shortlink.core import constant_pulse, make_grid, make_link
+from shortlink.core import constant_pulse, make_grid, make_link, phase_factor
 from shortlink.dde import derivative_kinks, evolve_single, population_kinks
 
 
@@ -56,6 +61,99 @@ class TestSeries:
         val = series_solution(p, 100.5)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
         assert abs(val) <= 1.0 + 1e-9
+
+
+def _reference_series(p, t):
+    """The series loop as first written (numpy scalars when t is one, a
+    phase_factor call and integer recurrence factors per term): the
+    reference route series_solution must match bit for bit."""
+    if t < 0:
+        raise ValueError("series solution is defined for t >= 0")
+    g, d = p.gamma, p.delay
+    if not (g * t <= 40.0):
+        raise ValueError(f"gamma*t = {g * t} is outside the series solution's "
+                         "gamma*t < 40 domain")
+    n_t = int(math.floor(t / d + 1e-12))
+    if n_t > p.n_max:
+        raise ValueError(
+            f"t/delay = {t / d:.1f} exceeds the echo truncation order n_max={p.n_max}"
+        )
+    total = complex(math.exp(-0.5 * g * t))
+    for n in range(1, n_t + 1):
+        dt = t - n * d
+        if dt < 0:
+            break
+        x = -g * dt
+        scale = math.exp(-0.5 * g * dt)
+        phase = phase_factor(p.phi, n)
+        term = x * scale
+        inner = term
+        for m in range(1, n):
+            term *= x * (n - m) / (m * (m + 1))
+            inner += term
+        total += phase * inner
+    return total
+
+
+def _series_outcome(f, p, t):
+    try:
+        c = f(p, t)
+    except Exception as e:  # noqa: BLE001 - the type and text are compared
+        return type(e), str(e)
+    return type(c), c.real.hex(), c.imag.hex()
+
+
+class TestSeriesBitIdentity:
+    CASES = [  # (gamma, delay, phi, n_max, times)
+        (0.7, 1.0, 2.0, 500, list(make_grid(1.0, 10.0, 40).times())),
+        (1.3, 1.0, 0.4, 500, [0, 1, 2, 3, 7, 1.0, 4.0, 4.5, 5 - 1e-13, 5 + 1e-13]),
+        (0.9, 1.0, 1.1, 1, [0.0, 0.5, 1.0, 1.5, np.float64(1.999)]),
+        (0.05, 1.0, 1.0, 500, [399.7, 400.0, np.float64(400.3), 401]),
+        (0.0, 1.0, 0.8, 500, [0.0, 2.5, 17, np.float64(120.25), 499.9]),
+        (0.4, 1.0, -3.7, 500, [3.3, np.float64(8.8), 12]),
+        (0.4, 1.0, 1e6, 500, [3.3, np.float64(8.8), 12]),
+        (0.6, 0.37, 2.2, 500, list(make_grid(0.37, 6.0, 25).times()) + [0.74, 3]),
+        (0.25, 2.5, -0.9, 500, [2.5, np.float64(5.0), 7.49, 30, 159.9]),
+    ]
+
+    @pytest.mark.parametrize("gamma, delay, phi, n_max, times", CASES)
+    def test_matches_reference_route(self, gamma, delay, phi, n_max, times):
+        p = SeriesParams(gamma=gamma, delay=delay, phi=phi, n_max=n_max)
+        for t in times:
+            for tt in {type(t): t, float: float(t), np.float64: np.float64(t)}.values():
+                got = _series_outcome(series_solution, p, tt)
+                assert got == _series_outcome(_reference_series, p, tt), (t, type(tt))
+                assert got[0] is complex
+
+    def test_errors_match_reference_route(self):
+        p = SeriesParams(gamma=0.5, delay=1.0, phi=0.3, n_max=50)
+        above = math.nextafter(80.0, math.inf)
+        for t in (-0.1, np.float64(-0.1), -1, math.nan, np.float64(math.nan), math.inf,
+                  -math.inf, above, np.float64(above), 51.0, np.float64(60.5), 70, "1.5"):
+            got = _series_outcome(series_solution, p, t)
+            assert got == _series_outcome(_reference_series, p, t), repr(t)
+            assert got[0] in (ValueError, TypeError)
+
+    def test_phase_ladder_is_not_part_of_identity(self):
+        p = SeriesParams(gamma=0.5, delay=1.0, phi=0.3)
+        fresh = SeriesParams(gamma=0.5, delay=1.0, phi=0.3)
+        series_solution(p, 7.5)
+        assert len(p._phases) == 8 and fresh._phases == ()
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert dataclasses.replace(p)._phases == ()
+        q = dataclasses.replace(p, phi=1.3)
+        assert q._phases == () and _series_outcome(series_solution, q, 7.5) == _series_outcome(
+            _reference_series, q, 7.5)
+
+    def test_import_builds_no_coefficient_table(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = ("import shortlink, shortlink.cli; from shortlink import analytic; "
+                "print(len(analytic._RECURRENCE))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
 
 
 class TestJumpFormula:
@@ -215,6 +313,14 @@ class TestSpectrum:
             output_spectrum(link, np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             output_spectrum(link, np.array([]))
+
+    def test_broadening_must_be_finite(self):
+        link = make_link(0.2, 1.0, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^broadening must be finite, got {bad}$"):
+                output_amplitude(link, np.array([0.5, 1.0]), bad)
+            with pytest.raises(ValueError, match="broadening must be finite"):
+                spectrum_scan(0.2, 1.0, [0.0], np.array([0.5, 1.0]), bad)
 
     def test_quasi_dark_suppression(self):
         # integrated weight near the emitter line, resonant vs quasi-dark

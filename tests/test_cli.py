@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,24 @@ class TestSpectrum:
         doc = json.loads((outdir / "spec.json").read_text())
         assert set(doc) == {"meta", "heatmap", "eigenfrequencies"}
         assert len(doc["heatmap"]["rows"]) == 51
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--broadening", "nan"), "broadening must be finite, got nan"),
+        (("--broadening", "inf"), "broadening must be finite, got inf"),
+        (("--delta-steps", "0"), "--delta-steps must be >= 1, got 0"),
+        (("--delta-steps", "-4"), "--delta-steps must be >= 1, got -4"),
+        (("--omega-steps", "1"), "--omega-steps must be >= 2, got 1"),
+        (("--omega-steps", "-3"), "--omega-steps must be >= 2, got -3"),
+        (("--delta-fsr", "nan"), "--delta-fsr must be finite, got nan"),
+        (("--delta-fsr=-inf",), "--delta-fsr must be finite, got -inf"),
+    ])
+    def test_invalid_inputs_exit_before_any_file(self, outdir, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            assert run("spectrum", "--gamma-tau", "0.15", "--delta-steps", "2",
+                       "--omega-steps", "11", *argv, "--out", "spec.csv") == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert list(outdir.iterdir()) == []
 
 
 class TestProtocol:
@@ -261,7 +280,12 @@ class TestScan:
     (("spectrum", "--gamma-tau", "0.15", "--delta-steps", "3",
       "--omega-steps", "51", "--format", "json"),
      "9aaabacd7a97aa382e014b0ac76aee6e487f2a856f5a5d42479318e0d6857631"),
+    (("spectrum", "--gamma-tau", "0.15", "--delta-steps", "3", "--omega-steps", "51"),
+     ("95185fa686682be1a3e5daa8a1c82f765ea483efb8c78f1ade8306aefbf034af",    # pinned.out
+      "94ff206dd82ee2dbda8e36c365dfe85bafd2f71e8cc3fa41b2635d571d3f9557")),  # .eigen.csv
 ])
 def test_output_bytes_pinned(outdir, argv, digest):
+    # one digest per file written, in file-name order
     assert run(*argv, "--out", "pinned.out") == 0
-    assert hashlib.sha256((outdir / "pinned.out").read_bytes()).hexdigest() == digest
+    got = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(outdir.iterdir()))
+    assert got == (digest if isinstance(digest, tuple) else (digest,))
