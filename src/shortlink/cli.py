@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -23,6 +24,9 @@ from .protocols import (ProtocolSpec, dark_bright, fidelity, loss_error,
                         make_pulses, run_protocol)
 from .sweep import ScanRecord, crossover, error_vs_duration, loss_scan, optimum
 from .ww import build_modes, evolve_ww
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf(inity)?$|nan$)", re.IGNORECASE)
 
 
 def _meta(**extra):
@@ -116,6 +120,9 @@ def cmd_protocol(args) -> int:
             raise ValueError(f"--t-step must be > 0, got {args.t_step}")
         t_lo = args.t_min if args.t_min is not None else 2.0
         t_hi = args.t_max if args.t_max is not None else 2.0 * math.pi / math.sqrt(g)
+        for flag, value in (("--t-min", t_lo), ("--t-max", t_hi)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
         Ts = np.arange(t_lo, t_hi + 1e-9, args.t_step)
         if Ts.size == 0:
             raise ValueError(f"--scan-t range {t_lo} to {t_hi} holds no duration")
@@ -203,8 +210,23 @@ def _ww_overlay(records, args):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads `-inf`, `-nan` and `-1e-3` as values.
+
+    argparse reads an argument that starts with '-' as a flag unless it
+    matches its negative-number pattern, which knows plain decimals only:
+    `--delta-fsr -inf` ended in "expected one argument" where
+    `--delta-fsr=-inf` reached the finite-value check.  No flag of this
+    CLI looks like a number, so a wider pattern is safe.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="shortlink",
         description="Emitters coupled through a short waveguide link: "
                     "delay-equation simulation, spectroscopy, and "

@@ -100,6 +100,8 @@ class PulseProfile:
         a, b = self.support
         if not (math.isfinite(a) and math.isfinite(b) and a <= b):
             raise ValueError(f"invalid support {self.support!r}")
+        if self.mirror_about is not None:
+            _check_finite("mirror_about", self.mirror_about)
         if self.shape == "sampled":
             t = np.asarray(self.times, dtype=float)
             v = np.asarray(self.values, dtype=float)
@@ -109,6 +111,18 @@ class PulseProfile:
                 raise ValueError("sampled pulse time axis must be strictly increasing")
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "values", v)
+            return
+        # these keep every analytic sample in [0, gamma0] (see eval_pulse)
+        g0 = self.params["gamma0"]
+        _check_finite("gamma0", g0)
+        if g0 < 0:
+            raise ValueError(f"gamma0 must be >= 0, got {g0}")
+        if self.shape == "sin2":
+            T = self.params["duration"]
+            if not (math.isfinite(T) and T > 0):
+                raise ValueError(f"sin2 duration must be finite and > 0, got {T!r}")
+        elif self.shape == "tanh":
+            _check_finite("tanh center", self.params["center"])
 
     @property
     def gamma_max(self) -> float:
@@ -118,27 +132,40 @@ class PulseProfile:
 
 
 def eval_pulse(p: PulseProfile, t):
-    """Evaluate a pulse at time(s) t.  Pure; 0 outside the support."""
+    """Evaluate a pulse at time(s) t.  Pure; 0 outside the support.
+
+    sin2 and tanh are sampled in place, one operation at a time in the
+    order of g0 * sin(0.5*pi*(te - a)/T)**2 and
+    0.5*g0 * (1 + tanh(0.5*g0 * (te - tc))).  Their checked parameters
+    keep sin^2 and 1 + tanh in [0, 1] and [0, 2], so every sample lies in
+    [0, gamma0]: only `sampled` needs clamping.
+    """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_arr = np.atleast_1d(t_arr)
     a, b = p.support
-    inside = (t_arr >= a) & (t_arr <= b)
+    outside = ~((t_arr >= a) & (t_arr <= b))  # NaN t too
     te = t_arr if p.mirror_about is None else 2.0 * p.mirror_about - t_arr
     if p.shape == "constant":
         g = np.full_like(t_arr, p.params["gamma0"])
     elif p.shape == "sin2":
-        g0 = p.params["gamma0"]
-        T = p.params["duration"]
-        g = g0 * np.sin(0.5 * math.pi * (te - a) / T) ** 2
+        g = te - a
+        g *= 0.5 * math.pi
+        g /= p.params["duration"]
+        np.sin(g, out=g)
+        np.square(g, out=g)
+        g *= p.params["gamma0"]
     elif p.shape == "tanh":
-        g0 = p.params["gamma0"]
-        tc = p.params["center"]
-        g = 0.5 * g0 * (1.0 + np.tanh(0.5 * g0 * (te - tc)))
+        half_g0 = 0.5 * p.params["gamma0"]
+        g = te - p.params["center"]
+        g *= half_g0
+        np.tanh(g, out=g)
+        g += 1.0
+        g *= half_g0
     else:  # sampled
-        g = np.interp(te, p.times, p.values, left=0.0, right=0.0)
-    out = np.where(inside, np.clip(g, 0.0, p.gamma_max), 0.0)
-    return float(out[0]) if scalar else out
+        g = np.clip(np.interp(te, p.times, p.values, left=0.0, right=0.0), 0.0, p.gamma_max)
+    np.copyto(g, 0.0, where=outside)
+    return float(g[0]) if scalar else g
 
 
 def constant_pulse(gamma0: float, support) -> PulseProfile:

@@ -20,12 +20,14 @@ Each equation is linear and its forcing was emitted at least one shortest
 delay earlier, so over a block of steps that long all but the RK4 stages
 of c are whole-array operations; those stages stay a Python loop, rounded
 exactly as a step-at-a-time integrator rounds them (real parts alone in a
-real problem); a run resumes at the last block it shares with the last run.
+real problem).  A run resumes at the last block it shares with the last run
+of as many emitters, and sets up its coefficients from there on only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -42,8 +44,9 @@ _HALF_W = np.array((
 
 _NORM_SLACK = 1e-9
 
-# the last run's key, samples per step, c and history; never written once stored
-_last = (None,) * 4
+# per emitter count, the last run's key, samples per step, c and history;
+# never written once stored
+_last = {}
 
 
 def _stencil(w, nodes):
@@ -52,13 +55,19 @@ def _stencil(w, nodes):
 
 
 def _cmul(z, w):
-    """z * w rounded as Python rounds it; numpy may fuse complex multiply-adds."""
-    if w.dtype == float or isinstance(z, np.ndarray) and z.dtype == float:
-        return z * w  # a real factor rounds the same either way
-    out = np.empty(np.broadcast(z, w).shape, dtype=complex)
+    """z * w rounded as Python rounds it; numpy may fuse complex multiply-adds.
+
+    w is a complex array and z a complex scalar or an array of w's shape.
+    """
+    out = np.empty(w.shape, dtype=complex)
     out.real = z.real * w.real - z.imag * w.imag
     out.imag = z.real * w.imag + z.imag * w.real
     return out
+
+
+def _part_lists(x):
+    """Each row of a complex array as two lists of floats, real parts then imaginary."""
+    return [r[s::2] for r in x.view(float).tolist() for s in (0, 1)]
 
 
 def _check_norm(c: np.ndarray) -> None:
@@ -109,12 +118,18 @@ def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
 
     If both phases and c0 have +0 imaginary parts (Delta = 0), the arrays
     are real: the complex route's imaginary parts would all stay +0 (a -0
-    could flip a zero's sign) and its real parts round as these do.  A run
-    with the last run's L, h, R, P, big_phi and c0 copies c and the history
-    up to K, the last block boundary before the first step whose samples
-    changed, and resumes there; nothing before K reads anything else.
+    could flip a zero's sign) and its real parts round as these do.  Only
+    a complex product goes through _cmul, chosen once per run: a phase's
+    and a lone emitter's coupling; a pair's couplings are real.  Each block
+    turns its forcing into Python floats with one tolist() per array.
+
+    A run with the last run's L, h, R, P, big_phi and c0 (one stored run
+    per L) copies c and the history up to K, the last block boundary
+    before the first step whose samples changed, and resumes there;
+    nothing before K reads anything else.  Only the pulse samples cover
+    the whole grid: square roots, couplings and coefficient lists start
+    at K.
     """
-    global _last
     L = len(pulses)
     h, N, M = grid.h, grid.n_steps, grid.steps_per_tau
     P = M if L == 2 else R
@@ -123,34 +138,45 @@ def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
     real = not any(z.imag or math.copysign(1.0, z.imag) < 0 for z in (e_self, e_cross, *c0))
     if real:
         e_self, e_cross, c0 = e_self.real, e_cross.real, tuple(z.real for z in c0)
-    parts = (lambda x: (x,)) if real else (lambda x: (x.real, x.imag))
+    by_phase = operator.mul if real else _cmul
+    by_coupling = by_phase if L == 1 else operator.mul
 
     t = grid.times()
     gamma = np.array([eval_pulse(p, t) for p in pulses], dtype=float)
     gh = np.array([eval_pulse(p, t[:-1] + 0.5 * h) for p in pulses], dtype=float)
-    sg = np.sqrt(gamma)
-    lone = 1.0 if L == 2 else e_self
-    coupling, coupling_h = -sg * lone, -np.sqrt(gh) * lone
-    a, ah = (-0.5 * gamma).tolist(), (-0.5 * gh).tolist()
-
-    c = np.zeros((L, N + 1), dtype=float if real else complex)
-    hist = np.zeros((3, L, R + N + 1), dtype=c.dtype)  # b, bh, bm
-    b, bh, bm = hist
     key = repr((L, h, R, P, big_phi, c0))  # repr tells -0.0 from 0.0
     samples = np.concatenate((gamma[:, :-1], gh, gamma[:, 1:]))  # a column per step
-    last_key, last_samples, c_last, hist_last = _last
+    last_key, last_samples, c_last, hist_last = _last.get(L, (None,) * 4)
     K = 0
     if key == last_key:
         changed = (samples[:, :last_samples.shape[1]] != last_samples[:, :N]).any(axis=0)
         K = np.append(changed, True).argmax() // P * P
-    c[:, 0] = c0
-    b[:, R] = sg[:, 0] * c[:, 0]
+
+    # from here on, column j of the coefficients is grid step K + j
+    g, gh = gamma[:, K:], gh[:, K:]
+    sg = np.sqrt(g)
+    lone = 1.0 if L == 2 else e_self
+    coupling, coupling_h = -sg * lone, -np.sqrt(gh) * lone
+    a, ah = (-0.5 * g).tolist(), (-0.5 * gh).tolist()
+
+    c = np.zeros((L, N + 1), dtype=float if real else complex)
+    hist = np.zeros((3, L, R + N + 1), dtype=c.dtype)  # b, bh, bm
+    b, bh, bm = hist
     if K:  # resume at the last block boundary before the first changed step
         c[:, :K + 1] = c_last[:, :K + 1]
         hist[:, :, :K + R + 1] = hist_last[:, :, :K + R + 1]
+    else:
+        c[:, 0] = c0
+        b[:, R] = sg[:, 0] * c[:, 0]
+    # the RK4 loop steps rows of c: each emitter's, or its real and imaginary parts
+    if real:
+        rows, emitters, as_lists = list(c), range(L), np.ndarray.tolist
+    else:
+        rows = [x for row in c for x in (row.real, row.imag)]
+        emitters, as_lists = [l for l in range(L) for _ in (0, 1)], _part_lists
 
     for k in range(K, N, P):
-        n = min(P, N - k)
+        n, j = min(P, N - k), k - K
         # the echo piece [k - P, k] has closed: fill its half nodes, centred
         # cubics inside, and at either end the cubic through the end nodes
         p = k - P + R
@@ -162,26 +188,23 @@ def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
         # on b, but the block's last ends on a left limit
         E = hist[:, :, k:k + n + 1]
         if L == 2:
-            E = _cmul(e_self, E) + _cmul(e_cross, hist[:, ::-1, k + cross:k + cross + n + 1])
-        F = _cmul(coupling[:, k:k + n + 1], E[0])
-        F[:, n] = _cmul(coupling[:, k + n], E[2, :, n])
-        Fh = _cmul(coupling_h[:, k:k + n], E[1, :, :n])
-        for l in range(L):
-            # Real coefficients step the real and imaginary parts apart, as
-            # Python's complex a * y does but for signed zeros (0 * y.imag)
-            # that matter only to a part at -0, which c0 rules out; a part
-            # at +0 with no forcing stays at +0.
-            y = complex(c[l, k])
-            for part, y0, f, fh in zip(parts(c[l, k + 1:k + n + 1]), (y.real, y.imag),
-                                       parts(F[l]), parts(Fh[l])):
-                if y0 or f.any() or fh.any():
-                    part[:] = _rk4_steps(y0, a[l][k:k + n + 1], ah[l][k:k + n],
-                                         f.tolist(), fh.tolist(), h)
-        x = sg[:, k + 1:k + n + 1] * c[:, k + 1:k + n + 1]
-        hist[::2, :, k + 1 + R:k + n + 1 + R] = x + _cmul(e_self, hist[::2, :, k + 1:k + n + 1])
+            E = by_phase(e_self, E) + by_phase(e_cross, hist[:, ::-1, k + cross:k + cross + n + 1])
+        F = by_coupling(coupling[:, j:j + n + 1], E[0])
+        F[:, n] = by_coupling(coupling[:, j + n], E[2, :, n])
+        Fh = by_coupling(coupling_h[:, j:j + n], E[1, :, :n])
+        # Real coefficients step the real and imaginary parts apart, as
+        # Python's complex a * y does but for signed zeros (0 * y.imag) that
+        # matter only to a part at -0, which c0 rules out; a part at +0 with
+        # no forcing stays at +0.
+        for row, l, f, fh in zip(rows, emitters, as_lists(F), as_lists(Fh)):
+            y0 = float(row[k])
+            if y0 or any(f) or any(fh):
+                row[k + 1:k + n + 1] = _rk4_steps(y0, a[l][j:j + n + 1], ah[l][j:j + n], f, fh, h)
+        x = sg[:, j + 1:j + n + 1] * c[:, k + 1:k + n + 1]
+        hist[::2, :, k + 1 + R:k + n + 1 + R] = x + by_phase(e_self, hist[::2, :, k + 1:k + n + 1])
 
-    _check_norm(c)
-    _last = (key, samples, c, hist)
+    _check_norm(c[:, K:])  # a stored run passed it
+    _last[L] = (key, samples, c, hist)
     return Trajectory(grid=grid, link=link, c=c.astype(complex), gamma_samples=gamma,
                       b_out=b[:, R:].astype(complex), echo_delay_steps=R, echo_phase=big_phi)
 

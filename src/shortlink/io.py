@@ -7,6 +7,7 @@ digits so re-runs produce byte-identical output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from pathlib import Path
@@ -43,22 +44,33 @@ def resolve_output(path) -> Path:
 def write_csv(path, columns, rows, meta=None) -> Path:
     """Write rows (iterable of sequences) with metadata comments and header.
 
-    A float64 ndarray row becomes Python floats, and Python floats are
-    formatted inline: the same text as `fmt`, without a call or numpy's
-    dispatch per value.  Any other type (np.float32, np.bool_, ...) goes
-    through `fmt`, which renders it differently from its `.tolist()`.
+    Rows of Python floats are formatted by one `%.12g` template per table,
+    the text `fmt` gives them: a list of such tuples in one pass, other
+    rows one at a time, a float64 ndarray row first turned into Python
+    floats.  A row holding any other type (np.float32, np.bool_, int, ...)
+    goes through `fmt` value by value: `%.12g` would print 10**12 as 1e+12
+    and True as 1, and `.tolist()` np.float32(0.1) as 0.10000000149.
     """
     p = resolve_output(path)
     lines = []
     for key in (meta or {}):
         lines.append(f"# {key} = {fmt(meta[key])}")
     lines.append(",".join(columns))
-    for row in rows:
-        if len(row) != len(columns):
-            raise ValueError(f"row width {len(row)} != {len(columns)} columns")
-        if type(row) is np.ndarray and row.dtype == np.float64:
-            row = row.tolist()
-        lines.append(",".join([f"{v:.12g}" if type(v) is float else fmt(v) for v in row]))
+    width = len(columns)
+    template, floats = ",".join(["%.12g"] * width), (float,) * width
+    if (type(rows) is list and set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {width}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {float}):
+        lines += map(template.__mod__, rows)  # no Python code per row
+    else:
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"row width {len(row)} != {width} columns")
+            if type(row) is np.ndarray and row.dtype == np.float64:
+                row = row.tolist()
+            if tuple(map(type, row)) == floats:
+                lines.append(template % tuple(row))
+            else:
+                lines.append(",".join([fmt(v) for v in row]))
     p.write_text("\n".join(lines) + "\n")
     return p
 

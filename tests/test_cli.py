@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import warnings
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import shortlink.protocols
-from shortlink.cli import main
+from shortlink.cli import build_parser, main
 
 
 def read_csv(path):
@@ -122,6 +123,37 @@ class TestSpectrum:
                        "--omega-steps", "11", *argv, "--out", "spec.csv") == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert list(outdir.iterdir()) == []
+
+
+# every float flag, in a command that reaches its check cheaply
+@pytest.mark.parametrize("argv, flag, message", [
+    (("simulate",), "--gamma-tau", "gamma0 must be finite, got -inf"),
+    (("simulate", "--gamma-tau", "0.1"), "--delta-fsr", "delta must be finite, got -inf"),
+    (("simulate", "--gamma-tau", "0.1"), "--t-end", "t_end must be finite, got -inf"),
+    (("spectrum", "--delta-steps", "2", "--omega-steps", "11"), "--gamma-tau",
+     "gamma0 must be finite, got -inf"),
+    (("spectrum", "--gamma-tau", "0.15"), "--delta-fsr", "--delta-fsr must be finite, got -inf"),
+    (("spectrum", "--gamma-tau", "0.15", "--delta-steps", "2", "--omega-steps", "11"),
+     "--broadening", "broadening must be finite, got -inf"),
+    (("protocol", "swap", "--t", "3"), "--gamma-tau", "gamma0 must be finite, got -inf"),
+    (("protocol", "swap", "--gamma-tau", "0.2"), "--t", "need gamma0 > 0 and duration > 0"),
+    (("protocol", "swap", "--gamma-tau", "0.2", "--scan-t"), "--t-min",
+     "--t-min must be finite, got -inf"),
+    (("protocol", "swap", "--gamma-tau", "0.2", "--scan-t"), "--t-max",
+     "--t-max must be finite, got -inf"),
+    (("protocol", "swap", "--gamma-tau", "0.2", "--scan-t"), "--t-step",
+     "--t-step must be > 0, got -inf"),
+    (("protocol", "swap", "--gamma-tau", "0.2", "--t", "3"), "--kappa-tau",
+     "kappa must be finite and >= 0, got -inf"),
+    (("scan", "--grid", "0.2"), "--kappa-tau", "kappa must be finite and >= 0, got -inf"),
+    (("scan", "--grid", "0.2", "--protocols", "czkm", "--ww", "--n-modes", "5"), "--delta-fsr",
+     "delta must be finite, got -inf"),
+])
+def test_negative_infinity_read_as_a_value(outdir, capsys, argv, flag, message):
+    # `flag -inf` once ended in argparse's "expected one argument" (exit 2)
+    for spelling in ((flag, "-inf"), (f"{flag}=-inf",)):
+        assert run(*argv, *spelling, "--out", "x.out") == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 class TestProtocol:
@@ -283,9 +315,25 @@ class TestScan:
     (("spectrum", "--gamma-tau", "0.15", "--delta-steps", "3", "--omega-steps", "51"),
      ("95185fa686682be1a3e5daa8a1c82f765ea483efb8c78f1ade8306aefbf034af",    # pinned.out
       "94ff206dd82ee2dbda8e36c365dfe85bafd2f71e8cc3fa41b2635d571d3f9557")),  # .eigen.csv
+    (("scan",),
+     ("64b5ab3342079a329f2618f30471db9ca91c50d1b7dfa6330cfa65ef2282ec38",    # pinned.out
+      "93c2b025d04077f8077e32342990d1197e2e9a15fda9444dce8c77759b2ff39e")),  # .summary.json
 ])
 def test_output_bytes_pinned(outdir, argv, digest):
     # one digest per file written, in file-name order
     assert run(*argv, "--out", "pinned.out") == 0
     got = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(outdir.iterdir()))
     assert got == (digest if isinstance(digest, tuple) else (digest,))
+
+
+def test_compare_outputs_commands_parse():
+    # tools/compare_outputs.py runs these; a typo would only show as a
+    # usage error in both checkouts, which compares equal
+    path = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parser = build_parser()
+    for argv in tool.COMMANDS:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]

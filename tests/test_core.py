@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +72,76 @@ class TestPulses:
             sampled_pulse([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             PulseProfile("wedge", {}, (0.0, 1.0))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: constant_pulse(-0.1, (0.0, 1.0)), "gamma0 must be >= 0, got -0.1"),
+        (lambda: constant_pulse(math.inf, (0.0, 1.0)), "gamma0 must be finite, got inf"),
+        (lambda: sin2_pulse(-0.5, 2.0), "gamma0 must be >= 0, got -0.5"),
+        (lambda: sin2_pulse(math.nan, 2.0), "gamma0 must be finite, got nan"),
+        (lambda: sin2_pulse(0.5, 0.0), "sin2 duration must be finite and > 0, got 0.0"),
+        (lambda: sin2_pulse(0.5, -1.0, (0.0, 1.0)),
+         "sin2 duration must be finite and > 0, got -1.0"),
+        (lambda: sin2_pulse(0.5, math.inf, (0.0, 1.0)),
+         "sin2 duration must be finite and > 0, got inf"),
+        (lambda: tanh_pulse(-1.0, 0.5, (0.0, 1.0)), "gamma0 must be >= 0, got -1.0"),
+        (lambda: tanh_pulse(-math.inf, 0.5, (0.0, 1.0)), "gamma0 must be finite, got -inf"),
+        (lambda: tanh_pulse(0.5, math.nan, (0.0, 1.0)), "tanh center must be finite, got nan"),
+        (lambda: tanh_pulse(0.5, 0.5, (0.0, 1.0), mirror_about=math.inf),
+         "mirror_about must be finite, got inf"),
+    ])
+    def test_parameters_fail_loudly(self, make, message):
+        # sin2_pulse(-0.5, 2.0) sampled -0.5 at t = 0, where sin^2 = 0, and
+        # sin2_pulse(0.5, 0.0) sampled NaN with three RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make()
+
+    def test_sampling_matches_expression_as_first_written(self):
+        # the in-place sampling against the plain expressions, clip and
+        # where included, bit for bit: each analytic shape, mirrored or
+        # not, at and beyond both support ends, NaN, inf and scalar t
+        a, b = 0.3, 7.3
+        pulses = [constant_pulse(0.7, (a, b)), constant_pulse(-0.0, (a, b)),
+                  PulseProfile("constant", {"gamma0": 0.7}, (a, b), mirror_about=3.8),
+                  sin2_pulse(0.7, b - a, (a, b)), sin2_pulse(0.7, 7.0, mirror=True),
+                  sin2_pulse(1e300, 3.1, (a, b)), sin2_pulse(0.0, 2.0),
+                  tanh_pulse(0.7, 2.2, (a, b)), tanh_pulse(0.7, 2.2, (a, b), mirror_about=3.8),
+                  tanh_pulse(1e300, -4.0, (a, b)), tanh_pulse(-0.0, 2.2, (a, b))]
+        t = np.concatenate((np.linspace(-1.0, 8.0, 1001), [a, b, np.nextafter(a, -1.0),
+                            np.nextafter(b, 9.0), 0.0, -0.0, np.nan, np.inf, -np.inf]))
+        for p in pulses:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # inf t makes sin(inf) in both
+                got, want = eval_pulse(p, t), _reference_eval_pulse(p, t)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            for x in (a, b, 0.5 * (a + b), -0.0, np.float64(4.0), 9):
+                got, want = eval_pulse(p, x), _reference_eval_pulse(p, x)
+                assert type(got) is float and got.hex() == want.hex()
+
+
+def _reference_eval_pulse(p, t):
+    """eval_pulse's analytic shapes as first written: plain expressions,
+    clipped to [0, gamma0], then zeroed outside the support."""
+    t_arr = np.asarray(t, dtype=float)
+    scalar = t_arr.ndim == 0
+    t_arr = np.atleast_1d(t_arr)
+    a, b = p.support
+    inside = (t_arr >= a) & (t_arr <= b)
+    te = t_arr if p.mirror_about is None else 2.0 * p.mirror_about - t_arr
+    if p.shape == "constant":
+        g = np.full_like(t_arr, p.params["gamma0"])
+    elif p.shape == "sin2":
+        g0 = p.params["gamma0"]
+        T = p.params["duration"]
+        g = g0 * np.sin(0.5 * math.pi * (te - a) / T) ** 2
+    else:
+        g0 = p.params["gamma0"]
+        tc = p.params["center"]
+        g = 0.5 * g0 * (1.0 + np.tanh(0.5 * g0 * (te - tc)))
+    out = np.where(inside, np.clip(g, 0.0, p.gamma_max), 0.0)
+    return float(out[0]) if scalar else out
 
 
 class TestGrid:

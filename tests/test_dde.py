@@ -124,7 +124,7 @@ def rk4_steps(monkeypatch):
 
 def cold(run):
     """run() with no earlier run to resume from."""
-    dde._last = (None,) * 4
+    dde._last.clear()
     return run()
 
 
@@ -156,6 +156,33 @@ class TestResume:
                 assert x.dtype == y.dtype and x.flags.owndata
                 assert_same_bits(x, y)
         assert warm_steps < 0.7 * rk4_steps[0]  # 0.64 measured
+
+    def test_lone_runs_resume_across_pair_runs(self, rk4_steps):
+        # a lone emitter's run is kept apart from a pair's: lone runs at
+        # growing and then shorter durations, each after a pair run, resume
+        # from the last lone run (R = P = 40 steps); a pair run at another
+        # coupling changes its first step, so pairs run cold
+        link = make_link(0.5, 1.0, 0.0)
+
+        def lone(T):
+            return lambda: evolve_single(link, constant_pulse(0.5, (0.0, T)), 1.0,
+                                         make_grid(1.0, T, 20))
+
+        def pair(g):
+            p = constant_pulse(g, (0.0, 2.0))
+            return lambda: evolve_pair(link, p, p, (1.0, 0.0), make_grid(1.0, 2.0, 20))
+
+        # N = 60, 100, 120, 50 resume at K = 0, 40, 80 (the last block of the
+        # stored 100 steps) and 40 (a run shorter than the stored one)
+        runs = [lone(3.0), pair(0.3), lone(5.0), pair(0.4), lone(6.0), pair(0.6), lone(2.5)]
+        rk4_steps[0] = 0
+        warm = [r() for r in runs]
+        # a pair's second emitter is not stepped before its first echo
+        assert rk4_steps[0] == (60 + 60 + 40 + 10) + 3 * (40 + 20)
+        for r, w in zip(runs, warm):
+            c = cold(r)
+            assert_same_bits(w.c, c.c)
+            assert_same_bits(w.b_out, c.b_out)
 
     def test_changed_sample_stops_reuse(self, rk4_steps):
         # pulses sampled at the nodes and half nodes; sample m = 2j changes
@@ -260,8 +287,10 @@ class TestSingleEmitter:
         grid = make_grid(1.0, 3.0, 20)
         with pytest.raises(ValueError, match="finite"):
             evolve_single(link, constant_pulse(0.1, (0.0, 3.0)), complex(math.nan, 0.0), grid)
+        with pytest.raises(ValueError, match="^gamma0 must be finite, got nan$"):
+            constant_pulse(math.nan, (0.0, 3.0))  # an analytic pulse fails on construction
         with pytest.raises(RuntimeError, match="non-finite"):
-            evolve_single(link, constant_pulse(math.nan, (0.0, 3.0)), 1.0, grid)
+            evolve_single(link, sampled_pulse([0.0, 3.0], [0.1, math.nan]), 1.0, grid)
 
     def test_round_trip_step_validation(self):
         link = make_link(0.1, 1.0, 0.0)
@@ -400,7 +429,7 @@ class TestTwoEmitters:
         with pytest.raises(ValueError, match="finite"):
             evolve_pair(link, p, p, (math.nan, 0.0), grid)
         with pytest.raises(RuntimeError, match="non-finite"):
-            evolve_pair(link, constant_pulse(math.nan, (0.0, 2.0)), p, (1.0, 0.0), grid)
+            evolve_pair(link, sampled_pulse([0.0, 2.0], [0.1, math.nan]), p, (1.0, 0.0), grid)
 
     def test_too_few_steps_per_tau_rejected(self):
         # the half-node stencil needs four steps inside each delay

@@ -37,8 +37,16 @@ SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, 1 / 3,
     np.array([[1, -2, 3]]),
     [("swap", 0.5, "error: gamma0 must be finite, got nan"), ("a,b", -0.0, "")],
     [np.array([0.25, np.nan, 1e-300]), (0.5, np.float64(0.5), np.float32(0.5))],
+    # rows of Python floats take the %.12g template (a list of such tuples
+    # all at once); one other cell sends a row to fmt, where %.12g would
+    # print 10**12 as 1e+12 and True as 1
+    [(math.inf, math.nan, -0.0), [1e12, 5e-324, -math.inf], (True, 0.5, 0.25),
+     (0.5, 10**12, 0.25), (0.5, 0.25, np.float32(0.1)), (math.nan, "x", -0.0),
+     (np.float64(-0.0), 0.5, math.inf)],
+    [(0.5, 0.25, 1e-300), (0.5, 10**12, 0.25), (True, -0.0, math.nan)],
 ], ids=["float64-array", "np-float64-tuples", "python-floats", "ints-bools-float32",
-        "float32-array", "bool-array", "int-array", "strings", "mixed-rows"])
+        "float32-array", "bool-array", "int-array", "strings", "mixed-rows",
+        "template-and-odd-cells", "float-tuples-and-odd-cells"])
 def test_bytes_match_reference_formatting(tmp_path, rows, monkeypatch):
     monkeypatch.delenv("SHORTLINK_OUTDIR", raising=False)
     columns = ["a", "b", "c"]

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from shortlink.core import constant_pulse, eval_pulse, make_grid, make_link, sin2_pulse
+from shortlink.core import (constant_pulse, eval_pulse, make_grid, make_link, sampled_pulse,
+                            sin2_pulse)
 from shortlink.dde import evolve_pair, evolve_single
 from shortlink.ww import build_modes, evolve_ww, unitarity_defect
 
@@ -92,7 +93,9 @@ class TestEvolveWW:
         link = make_link(0.1, 1.0, 50 * math.pi)
         grid = make_grid(1.0, 1.0, 400)
         p = constant_pulse(0.1, (0.0, 1.0))
-        q = constant_pulse(bad, (0.0, 1.0))
+        with pytest.raises(ValueError, match=f"^gamma0 must be finite, got {bad}$"):
+            constant_pulse(bad, (0.0, 1.0))  # an analytic pulse fails on construction
+        q = sampled_pulse([0.0, 1.0], [0.1, bad])
         for pulses in ((p, q), (q, p)):
             with pytest.raises(ValueError, match="non-finite amplitude; check the couplings"):
                 evolve_ww(link, build_modes(link, 5), pulses, (1.0, 0.0), grid)
