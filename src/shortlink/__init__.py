@@ -14,8 +14,7 @@ from .analytic import (SeriesParams, SpectralResult, eigenfrequencies,
 from .core import (LinkParams, PulseProfile, TimeGrid, Trajectory,
                    constant_pulse, eval_pulse, make_grid, make_link,
                    phase_factor, sampled_pulse, sin2_pulse, tanh_pulse)
-from .dde import (derivative_kinks, evolve_pair, evolve_single, output_field,
-                  population_kinks)
+from .dde import derivative_kinks, evolve_pair, evolve_single, population_kinks
 from .protocols import (DarkBrightState, ProtocolSpec, czkm_bound,
                         czkm_exact_error, dark_bright, fidelity, loss_error,
                         make_pulses, photon_integral, run_protocol,

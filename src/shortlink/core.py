@@ -223,12 +223,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.h
 
-    def index_of(self, t: float) -> int:
-        i = int(round(t / self.h))
-        if not (0 <= i <= self.n_steps) or abs(i * self.h - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} is not a grid point of this trajectory")
-        return i
-
 
 def make_grid(tau: float, t_end: float, steps_per_tau: int = 200) -> TimeGrid:
     """Build a grid aligned with the delay tau, rounding t_end up to a node."""
@@ -249,13 +243,12 @@ def make_grid(tau: float, t_end: float, steps_per_tau: int = 200) -> TimeGrid:
 class Trajectory:
     """Complex emitter amplitudes on a grid plus sampled couplings.
 
-    c has shape (n_emitters, n_steps+1).  b_out holds the echo-field
-    history maintained by the integrator recursion (same shape), with
+    c has shape (n_emitters, n_steps+1).  b_out[l, i] is the echo field of
+    emitter l at step i, kept by the integrator recursion, with
     echo_delay_steps/echo_phase recording the self-echo convention used.
     """
 
     grid: TimeGrid
-    link: LinkParams
     c: np.ndarray
     gamma_samples: np.ndarray
     b_out: np.ndarray

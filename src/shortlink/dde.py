@@ -31,16 +31,12 @@ import operator
 
 import numpy as np
 
-from .core import (NON_FINITE, LinkParams, PulseProfile, TimeGrid, Trajectory, eval_pulse,
-                   phase_factor)
+from .core import (NON_FINITE, LinkParams, PulseProfile, TimeGrid, Trajectory,
+                   _lagrange_weights, eval_pulse, phase_factor)
 
 # cubic Lagrange weights for a value midway between stencil nodes
 # rows: delayed point between nodes (S, S+1), (S+1, S+2), (S+2, S+3)
-_HALF_W = np.array((
-    (0.3125, 0.9375, -0.3125, 0.0625),
-    (-0.0625, 0.5625, 0.5625, -0.0625),
-    (0.0625, -0.3125, 0.9375, 0.3125),
-))
+_HALF_W = np.array([_lagrange_weights(x) for x in (0.5, 1.5, 2.5)])
 
 _NORM_SLACK = 1e-9
 
@@ -70,12 +66,16 @@ def _part_lists(x):
     return [r[s::2] for r in x.view(float).tolist() for s in (0, 1)]
 
 
-def _check_norm(c: np.ndarray) -> None:
+def _check_norm(c: np.ndarray, samples: np.ndarray, h: float) -> None:
+    """Fail a run whose norm left [0, 1]: blame non-finite couplings, else the grid."""
     excess = float(np.max(np.sum(np.abs(c) ** 2, axis=0))) - 1.0
-    if not math.isfinite(excess):
+    if excess <= _NORM_SLACK:
+        return
+    if not np.isfinite(samples).all():
         raise RuntimeError(NON_FINITE)
-    if excess > _NORM_SLACK:
-        raise RuntimeError(f"single-excitation norm exceeded 1 by {excess:.3e}; grid too coarse")
+    grew = f"exceeded 1 by {excess:.3e}" if math.isfinite(excess) else "diverged"
+    raise RuntimeError(f"single-excitation norm {grew}; grid too coarse "
+                       f"(gamma_max*h = {float(np.max(samples)) * h:.3g})")
 
 
 def _check_initial(c0) -> tuple:
@@ -101,8 +101,9 @@ def _rk4_steps(y, a, ah, f, fh, h):
     return out
 
 
-def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
-                     big_phi: float) -> Trajectory:
+# a diverging run overflows and makes NaN on its way to _check_norm's error
+@np.errstate(over="ignore", invalid="ignore")
+def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Trajectory:
     """RK4 over the method-of-steps grid for one emitter or a pair, by blocks.
 
     Each emitter hears its own echo R steps back with phase e^{i big_phi}
@@ -203,9 +204,9 @@ def _method_of_steps(link: LinkParams, pulses, c0, grid: TimeGrid, R: int,
         x = sg[:, j + 1:j + n + 1] * c[:, k + 1:k + n + 1]
         hist[::2, :, k + 1 + R:k + n + 1 + R] = x + by_phase(e_self, hist[::2, :, k + 1:k + n + 1])
 
-    _check_norm(c[:, K:])  # a stored run passed it
+    _check_norm(c[:, K:], samples, h)  # a stored run passed it
     _last[L] = (key, samples, c, hist)
-    return Trajectory(grid=grid, link=link, c=c.astype(complex), gamma_samples=gamma,
+    return Trajectory(grid=grid, c=c.astype(complex), gamma_samples=gamma,
                       b_out=b[:, R:].astype(complex), echo_delay_steps=R, echo_phase=big_phi)
 
 
@@ -216,7 +217,7 @@ def evolve_pair(link: LinkParams, pulse1: PulseProfile, pulse2: PulseProfile,
     M = grid.steps_per_tau
     if M < 4 or abs(M * grid.h - link.tau) > 1e-12 * link.tau:
         raise ValueError("tau must be a whole number (>= 4) of grid steps")
-    return _method_of_steps(link, (pulse1, pulse2), c0, grid, 2 * M, 2.0 * link.phi)
+    return _method_of_steps((pulse1, pulse2), c0, grid, 2 * M, 2.0 * link.phi)
 
 
 def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
@@ -236,15 +237,7 @@ def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
     R = int(round(t_rt / h))
     if R < 4 or abs(R * h - t_rt) > 1e-9 * t_rt:
         raise ValueError("round-trip time must be a whole number (>= 4) of grid steps")
-    return _method_of_steps(link, (pulse,), c0, grid, R, big_phi)
-
-
-def output_field(traj: Trajectory, l: int, t: float) -> complex:
-    """Echo field b_l^out(t) at a grid point, from the stored recursion."""
-    if t < 0:
-        return 0j
-    i = traj.grid.index_of(t)
-    return complex(traj.b_out[l, i])
+    return _method_of_steps((pulse,), c0, grid, R, big_phi)
 
 
 def _kinks(traj: Trajectory, x, kind):

@@ -12,8 +12,6 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
-
 OUTPUT_DIR_ENV = "SHORTLINK_OUTDIR"
 
 
@@ -44,12 +42,9 @@ def resolve_output(path) -> Path:
 def write_csv(path, columns, rows, meta=None) -> Path:
     """Write rows (iterable of sequences) with metadata comments and header.
 
-    Rows of Python floats are formatted by one `%.12g` template per table,
-    the text `fmt` gives them: a list of such tuples in one pass, other
-    rows one at a time, a float64 ndarray row first turned into Python
-    floats.  A row holding any other type (np.float32, np.bool_, int, ...)
-    goes through `fmt` value by value: `%.12g` would print 10**12 as 1e+12
-    and True as 1, and `.tolist()` np.float32(0.1) as 0.10000000149.
+    A list of tuples of Python floats is formatted by one `%.12g` template
+    in one pass, the text `fmt` gives each value.  Other rows go through
+    `fmt` value by value: `%.12g` would print 10**12 as 1e+12 and True as 1.
     """
     p = resolve_output(path)
     lines = []
@@ -57,20 +52,14 @@ def write_csv(path, columns, rows, meta=None) -> Path:
         lines.append(f"# {key} = {fmt(meta[key])}")
     lines.append(",".join(columns))
     width = len(columns)
-    template, floats = ",".join(["%.12g"] * width), (float,) * width
     if (type(rows) is list and set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {width}
             and set(map(type, itertools.chain.from_iterable(rows))) <= {float}):
-        lines += map(template.__mod__, rows)  # no Python code per row
+        lines += map(",".join(["%.12g"] * width).__mod__, rows)  # no Python code per row
     else:
         for row in rows:
             if len(row) != width:
                 raise ValueError(f"row width {len(row)} != {width} columns")
-            if type(row) is np.ndarray and row.dtype == np.float64:
-                row = row.tolist()
-            if tuple(map(type, row)) == floats:
-                lines.append(template % tuple(row))
-            else:
-                lines.append(",".join([fmt(v) for v in row]))
+            lines.append(",".join([fmt(v) for v in row]))
     p.write_text("\n".join(lines) + "\n")
     return p
 

@@ -98,10 +98,8 @@ def shaped_pulse(times, density, gamma_cap: float, t0: float | None = None) -> P
     return sampled_pulse(t, np.minimum(gamma, gamma_cap))
 
 
-def fidelity(traj: Trajectory, T: float | None = None) -> float:
-    """Transfer fidelity F = |c_2(T)|^2 (defaults to the end of the run)."""
-    if T is None:
-        T = traj.grid.t_end
+def fidelity(traj: Trajectory, T: float) -> float:
+    """Transfer fidelity F = |c_2(T)|^2."""
     return abs(traj.amplitude_at(1, T)) ** 2
 
 

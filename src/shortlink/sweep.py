@@ -88,13 +88,17 @@ def _golden(f, xa, xb, xc, tol):
     return x1 if f1 < f2 else x2
 
 
-def _refine(f, bracket, coarse_t, coarse_err, tol_rel):
-    """Golden-section polish; never returns worse than the coarse minimum."""
-    t_best = _golden(f, *bracket, tol_rel)
-    e_best = f(t_best)
-    if e_best > coarse_err:
-        return coarse_t, coarse_err
-    return float(t_best), float(e_best)
+def _refined(kind: str, gamma0_tau: float, ts, k: int, steps_per_tau: int) -> ScanRecord:
+    """Record at the golden-section minimum in the bracket (ts[k-1], ts[k], ts[k+1]).
+
+    Golden section's first pair holds ts[k] and it returns the better of its
+    last pair, so the result is never worse than the coarse point.
+    """
+    f = lambda T: _error(kind, gamma0_tau, float(T), steps_per_tau)
+    t_opt = float(_golden(f, ts[k - 1], ts[k], ts[k + 1], 1e-4))
+    e_opt = f(t_opt)
+    n_int = photon_integral(_run(kind, gamma0_tau, t_opt, steps_per_tau))
+    return ScanRecord(kind, gamma0_tau, t_opt, e_opt, n_int)
 
 
 def optimal_swap(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
@@ -109,18 +113,13 @@ def optimal_swap(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
     Ts = np.linspace(0.5 * t_rabi, 1.5 * t_rabi, _N_COARSE)
     errs = error_vs_duration("swap", gamma0_tau, Ts, steps_per_tau)
     k = int(np.argmin(errs))
-    note = ""
-    if k == 0 or k == len(Ts) - 1:
-        warnings.warn("no interior SWAP minimum in the Rabi bracket; "
-                      "returning the best endpoint", RuntimeWarning, stacklevel=2)
-        t_opt, e_opt = float(Ts[k]), float(errs[k])
-        note = "bracket-endpoint"
-    else:
-        f = lambda T: _error("swap", gamma0_tau, float(T), steps_per_tau)
-        t_opt, e_opt = _refine(f, (Ts[k - 1], Ts[k], Ts[k + 1]),
-                               float(Ts[k]), float(errs[k]), 1e-4)
+    if 0 < k < len(Ts) - 1:
+        return _refined("swap", gamma0_tau, Ts, k, steps_per_tau)
+    warnings.warn("no interior SWAP minimum in the Rabi bracket; "
+                  "returning the best endpoint", RuntimeWarning, stacklevel=2)
+    t_opt = float(Ts[k])
     n_int = photon_integral(_run("swap", gamma0_tau, t_opt, steps_per_tau))
-    return ScanRecord("swap", gamma0_tau, t_opt, e_opt, n_int, note)
+    return ScanRecord("swap", gamma0_tau, t_opt, float(errs[k]), n_int, "bracket-endpoint")
 
 
 def optimal_stirap(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
@@ -149,12 +148,7 @@ def optimal_stirap(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
     else:
         return ScanRecord("stirap", gamma0_tau, ts[k_min], es[k_min],
                           note="no-valley-within-scan")
-
-    lo = ts[k_min - 1]
-    hi = ts[k_min + 1] if k_min + 1 < len(ts) else ts[k_min] + _T_STEP
-    t_opt, e_opt = _refine(f, (lo, ts[k_min], hi), ts[k_min], es[k_min], 1e-4)
-    n_int = photon_integral(_run("stirap", gamma0_tau, t_opt, steps_per_tau))
-    return ScanRecord("stirap", gamma0_tau, t_opt, e_opt, n_int)
+    return _refined("stirap", gamma0_tau, ts, k_min, steps_per_tau)
 
 
 def czkm_record(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:

@@ -147,8 +147,7 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
         photon[i + 1] = sum_(np.abs(a) ** 2)
 
     return WWTrajectory(
-        grid=grid, link=link, c=c,
-        gamma_samples=gamma,
+        grid=grid, c=c, gamma_samples=gamma,
         b_out=np.zeros_like(c), echo_delay_steps=2 * grid.steps_per_tau,
         echo_phase=2.0 * link.phi, photon=photon, modes=modes,
     )

@@ -37,6 +37,9 @@ class TestSeries:
             series_solution(p, 5.0)
         with pytest.raises(ValueError):
             series_solution(p, -0.1)
+        for n_max in (0, 501):
+            with pytest.raises(ValueError, match=r"^n_max must be in \[1, 500\]$"):
+                SeriesParams(gamma=0.1, delay=1.0, phi=0.0, n_max=n_max)
 
     def test_non_finite_parameters_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -217,6 +220,12 @@ class TestEigenfrequencies:
                              (25.0 + math.pi, 35.0 + math.pi))
         np.testing.assert_allclose(b, a + math.pi, rtol=0, atol=1e-9)
 
+    def test_empty_window_rejected(self):
+        link = make_link(0.5, 1.0, 3.0)
+        for window in ((2.0, 2.0), (3.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="^empty eigenfrequency window$"):
+                eigenfrequencies(link, window)
+
     def test_zero_coupling_reduces_to_bare_ladder(self):
         lams = eigenfrequencies(make_link(0.0, 1.0, 7.0), (0.0, 4 * math.pi))
         for lam in lams:
@@ -269,6 +278,14 @@ class TestBrentq:
             want = brentq(ref, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
             assert root == want and type(root) is type(want)
             assert ours.calls == ref.calls
+
+    def test_bisect_fallback_matches_scipy(self):
+        # x**9 is flat near its root, so steps that fail to shrink |f| fall
+        # back to bisection
+        ours, ref = (_recorded(lambda x: x ** 9 - 1e-9) for _ in range(2))
+        root = _brentq(ours, 0.0, 2.0, 1e-12, 8.9e-16, 100)
+        assert root == brentq(ref, 0.0, 2.0, xtol=1e-12, rtol=8.9e-16, maxiter=100)
+        assert ours.calls == ref.calls
 
     def test_errors_match_scipy(self):
         nan = math.nan

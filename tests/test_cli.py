@@ -280,6 +280,15 @@ class TestScan:
             "czkm,-1,nan,nan,0,error: gamma0_tau grid must be positive",
         ]
 
+    def test_ww_overlay_skips_failed_rows(self, outdir):
+        assert run("scan", "--grid", "nan,0.2", "--protocols", "swap", "--ww",
+                   "--n-modes", "41", "--out", "s.csv") == 1
+        lines = (outdir / "s.csv").read_text().splitlines()
+        assert lines[-2] == "swap,nan,nan,nan,0,error: gamma0 must be finite, got nan"
+        assert lines[-1].startswith("swap,0.2,") and lines[-1].endswith(",")
+        ww = json.loads((outdir / "s.csv.summary.json").read_text())["ww"]
+        assert [(r["protocol"], r["gamma0_tau"]) for r in ww] == [("swap", 0.2)]
+
     @pytest.mark.parametrize("g", ["0", "-1", "nan"])
     def test_loss_scan_rejects_bad_coupling(self, outdir, capsys, g):
         assert run("scan", "--loss", "--grid", g, "--protocols", "czkm",

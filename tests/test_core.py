@@ -72,6 +72,15 @@ class TestPulses:
             sampled_pulse([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             PulseProfile("wedge", {}, (0.0, 1.0))
+        for times, values in (([0.0, 1.0, 2.0], [1.0, 2.0]), ([0.0], [1.0]),
+                              ([[0.0, 1.0]], [[1.0, 2.0]])):
+            with pytest.raises(ValueError, match="^sampled pulse needs matching 1-d times/values$"):
+                sampled_pulse(times, values, support=(0.0, 1.0))
+
+    @pytest.mark.parametrize("support", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)])
+    def test_bad_support_rejected(self, support):
+        with pytest.raises(ValueError, match="^invalid support"):
+            constant_pulse(0.1, support)
 
     @pytest.mark.parametrize("make, message", [
         (lambda: constant_pulse(-0.1, (0.0, 1.0)), "gamma0 must be >= 0, got -0.1"),
@@ -153,13 +162,6 @@ class TestGrid:
         assert g.t_end >= 3.2 - 1e-12
         assert g.n_steps * g.h == pytest.approx(g.t_end)
 
-    def test_index_of(self):
-        g = make_grid(1.0, 4.0, 10)
-        assert g.index_of(0.0) == 0
-        assert g.index_of(2.5) == 25
-        with pytest.raises(ValueError):
-            g.index_of(0.123)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             make_grid(1.0, 5.0, 3)
@@ -178,14 +180,16 @@ def test_trajectory_amplitude_interpolation():
     t = grid.times()
     # cubic interpolation must be exact on a cubic polynomial
     vals = (0.3 + 0.2j) * t**3 - t**2 + (1.0 - 0.5j) * t + 2.0
-    traj = Trajectory(grid=grid, link=make_link(0.1, 1.0, 0.0),
-                      c=np.array([vals]), gamma_samples=np.zeros((1, t.size)),
+    traj = Trajectory(grid=grid, c=np.array([vals]), gamma_samples=np.zeros((1, t.size)),
                       b_out=np.zeros((1, t.size), dtype=complex),
                       echo_delay_steps=10, echo_phase=0.0)
     for x in (0.33, 1.234, 1.999):
         want = (0.3 + 0.2j) * x**3 - x**2 + (1.0 - 0.5j) * x + 2.0
         assert traj.amplitude_at(0, x) == pytest.approx(want, rel=1e-12)
     assert traj.amplitude_at(0, 1.0) == vals[10]
+    for x in (-0.01, 2.01, math.nan):
+        with pytest.raises(ValueError, match="outside trajectory range"):
+            traj.amplitude_at(0, x)
 
     # fewer than 3 steps: no room for the 4-node stencil, nodes stay exact
     from shortlink.protocols import ProtocolSpec, run_protocol

@@ -1,6 +1,8 @@
 import math
+import re
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from shortlink import dde
 from shortlink.analytic import SeriesParams, series_solution
 from shortlink.core import (TimeGrid, constant_pulse, eval_pulse, make_grid, make_link,
                             phase_factor, sampled_pulse, sin2_pulse, tanh_pulse)
-from shortlink.dde import evolve_pair, evolve_single, output_field
+from shortlink.dde import evolve_pair, evolve_single
 
 
 def single_run(gamma, phi, t_end=5.0, steps=200):
@@ -292,6 +294,25 @@ class TestSingleEmitter:
         with pytest.raises(RuntimeError, match="non-finite"):
             evolve_single(link, sampled_pulse([0.0, 3.0], [0.1, math.nan]), 1.0, grid)
 
+    @pytest.mark.parametrize("gamma, steps, t_end, grew", [
+        (3000.0, 200, 3.0, "diverged"),              # gamma*h = 15: inf and NaN
+        (600.0, 100, 0.3, "exceeded 1 by 1.987e+08"),  # gamma*h = 6: finite growth
+    ])
+    def test_unstable_grid_blamed_not_couplings(self, gamma, steps, t_end, grew):
+        # every coupling is finite, so the grid is at fault; no numpy warning escapes
+        grid = make_grid(1.0, t_end, steps)
+        for delta in (0.0, 1.3):  # the real and the complex route
+            link = make_link(gamma, 1.0, delta)
+            pulse = constant_pulse(gamma, (0.0, grid.t_end))
+            for run in (lambda: evolve_single(link, pulse, 1.0, grid),
+                        lambda: evolve_pair(link, pulse, pulse, (1.0, 0.0), grid)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(RuntimeError, match=re.escape(
+                            f"single-excitation norm {grew}; grid too coarse "
+                            f"(gamma_max*h = {gamma * grid.h:g})")):
+                        run()
+
     def test_round_trip_step_validation(self):
         link = make_link(0.1, 1.0, 0.0)
         grid = make_grid(1.0, 3.0, 10)
@@ -305,14 +326,11 @@ class TestSingleEmitter:
             assert np.max(np.abs(traj.c[0]) ** 2) <= 1.0 + 1e-9
 
 
-def output_field_sum(traj, l, t):
-    """Echo field via the explicit truncated sum over past emissions.
+def output_field_sum(traj, l, i):
+    """Echo field at step i via the explicit truncated sum over past emissions.
 
-    Independent of the recursion in `output_field`; used to cross-check it.
+    Independent of the integrator's recursion for `b_out`; used to cross-check it.
     """
-    if t < 0:
-        return 0j
-    i = traj.grid.index_of(t)
     R = traj.echo_delay_steps
     total = 0j
     n = 0
@@ -331,17 +349,8 @@ class TestEchoField:
         pulse = constant_pulse(0.3, (0.0, 6.0))
         traj = evolve_pair(link, pulse, pulse, (1.0, 0.0), grid)
         for l in (0, 1):
-            for t in (0.0, 1.0, 2.34, 5.96):
-                a = output_field(traj, l, t)
-                b = output_field_sum(traj, l, t)
-                assert a == pytest.approx(b, abs=1e-12)
-
-    def test_vanishes_before_start(self):
-        link = make_link(0.3, 1.0, 0.0)
-        grid = make_grid(1.0, 2.0, 20)
-        pulse = constant_pulse(0.3, (0.0, 2.0))
-        traj = evolve_single(link, pulse, 1.0, grid)
-        assert output_field(traj, 0, -1.0) == 0j
+            for i in (0, 50, 117, 298):  # t = 0, 1, 2.34, 5.96
+                assert traj.b_out[l, i] == pytest.approx(output_field_sum(traj, l, i), abs=1e-12)
 
 
 class TestTwoEmitters:

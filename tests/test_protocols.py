@@ -79,6 +79,15 @@ class TestShapedPulse:
         pulse = shaped_pulse(t, np.zeros_like(t), gamma_cap=1.0)
         assert np.max(eval_pulse(pulse, t)) == 0.0
 
+    def test_bad_density_rejected(self):
+        t = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            shaped_pulse(t, np.array([0.1, 0.2, -0.1, 0.0, 0.0]), gamma_cap=1.0)
+        for times, rho in ((t, np.zeros(4)), (t[:1], np.zeros(1)),
+                           (np.zeros((2, 2)), np.zeros((2, 2)))):
+            with pytest.raises(ValueError, match="^need matching 1-d times/density samples$"):
+                shaped_pulse(times, rho, gamma_cap=1.0)
+
     def test_norm_overflow_rejected(self):
         t = np.linspace(0.0, 5.0, 500)
         with pytest.raises(ValueError, match="norm"):
@@ -175,6 +184,14 @@ class TestDarkBright:
         lhs = np.abs(db.d) ** 2 + np.abs(db.b) ** 2
         rhs = np.abs(db.c1) ** 2 + np.abs(db.c2_shifted) ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+    @pytest.mark.parametrize("T", [0.5, TAU])
+    def test_run_no_longer_than_tau_rejected(self, T):
+        link = link_for(0.1)
+        pulses = make_pulses(ProtocolSpec("swap", 0.1, T), link)
+        traj = evolve_pair(link, *pulses, (1.0, 0.0), make_grid(TAU, T, 200))
+        with pytest.raises(ValueError, match="^trajectory shorter than one traversal time$"):
+            dark_bright(traj, pulses, link)
 
     def test_trivial_substitution(self):
         # c1=1, c2bar=0, gamma1=0, gamma2bar=gamma0 -> d=1, b=0

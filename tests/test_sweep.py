@@ -115,6 +115,15 @@ class TestOptimalSwap:
         with pytest.raises(ValueError):
             optimal_swap(-0.1)
 
+    def test_bracket_endpoint_record(self):
+        # strong coupling: the coarse scan's error falls to the bracket's top end
+        with pytest.warns(RuntimeWarning, match="no interior SWAP minimum"):
+            rec = optimal_swap(20.0)
+        T = 1.5 * (math.pi / math.sqrt(20.0))
+        assert rec == ScanRecord("swap", 20.0, T, _error("swap", 20.0, T, 200),
+                                 rec.loss_integral, "bracket-endpoint")
+        assert rec.loss_integral > 0.0
+
 
 class TestOptimalStirap:
     def test_first_valley_near_rule_of_thumb(self):
@@ -126,6 +135,17 @@ class TestOptimalStirap:
 
     def test_determinism(self):
         assert optimal_stirap(0.5) == optimal_stirap(0.5)
+
+    def test_no_valley_within_scan(self):
+        # the scan stops at 100/sqrt(2000) < 2.25, before the error can turn
+        rec = optimal_stirap(2000.0, steps_per_tau=1000)
+        assert rec == ScanRecord("stirap", 2000.0, 2.0, _error("stirap", 2000.0, 2.0, 1000),
+                                 note="no-valley-within-scan")
+
+    def test_validation(self):
+        for g in (0.0, -0.1):
+            with pytest.raises(ValueError, match="^gamma0_tau must be > 0$"):
+                optimal_stirap(g)
 
 
 class TestScanProtocols:

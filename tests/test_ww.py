@@ -49,6 +49,7 @@ class TestEvolveWW:
     def test_unitarity(self):
         traj, _ = _run_pair(0.1, 50 * math.pi, 41, 8.0, steps=400)
         assert unitarity_defect(traj) < 1e-6
+        assert traj.photon_number() is traj.photon  # the mode record, not 1 - sum |c|^2
 
     def test_matches_dde_two_emitters(self):
         traj, grid = _run_pair(0.2, 50 * math.pi, 81, 6.0, steps=800)

@@ -37,6 +37,7 @@ COMMANDS = [
     ["scan", "--grid", "nan,-1", "--protocols", "czkm"],
     ["scan", "--protocols", "bogus"],
     ["scan", "--protocols", "swap,czkm", "--grid", "0.5,1.0", "--kappa-tau", "0.3"],
+    ["scan", "--grid", "nan,0.2", "--protocols", "swap", "--ww", "--n-modes", "41"],
     ["spectrum", "--gamma-tau", "0.15"],
     ["spectrum", "--gamma-tau", "0.15", "--format", "json"],
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "5", "--omega-steps", "101",
@@ -50,12 +51,14 @@ COMMANDS = [
      "--broadening", "-inf"],
     ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww"],
     ["simulate", "--gamma-tau", "0.1", "--ww", "--delta-fsr", "50.3"],
+    ["simulate", "--gamma-tau", "3000", "--t-end", "3", "--delta-fsr", "0"],
     *[["simulate", "--gamma-tau", "1.3", "--emitters", em, "--delta-fsr", d, "--format", f]
       for em in ("1", "2") for d in ("50", "50.3") for f in ("csv", "json")],
     ["protocol", "swap", "--gamma-tau", "0.2", "--scan-t"],
     ["protocol", "swap", "--gamma-tau", "0.2", "--scan-t", "--t-min", "2", "--t-max", "4"],
     ["protocol", "stirap", "--gamma-tau", "0.2", "--scan-t"],
     ["protocol", "swap", "--gamma-tau", "0.2", "--optimize"],
+    ["protocol", "swap", "--gamma-tau", "20", "--optimize"],
     ["protocol", "stirap", "--gamma-tau", "0.2", "--optimize", "--kappa-tau", "0.01"],
     ["protocol", "czkm", "--gamma-tau", "0.2", "--t", "30"],
     ["protocol", "czkm", "--gamma-tau", "1", "--optimize"],
