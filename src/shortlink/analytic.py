@@ -20,6 +20,7 @@ these and is not used (its branch spacing would be 2*pi/tau).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -290,13 +291,16 @@ def output_spectrum(link: LinkParams, omega_grid, broadening: float = 0.0) -> Sp
     return SpectralResult(eigenfrequencies=lams, omegas=w, spectrum=power)
 
 
-def spectrum_scan(gamma0: float, tau: float, delta_values, omega_grid, broadening: float = 0.0):
-    """Heat-map rows (Delta, omega, power) over a sweep of emitter frequencies."""
-    rows = []
+def spectrum_scan(gamma0: float, tau: float, delta_values, omega_grid,
+                  broadening: float = 0.0, label=float):
+    """Heat-map rows (label(Delta), label(omega), power), one Delta at a time.
+
+    A generator, so a caller writing the rows as they come never holds the
+    table.  `label` maps each Delta and each omega of the grid once, not
+    once per row (the CLI passes the formatted Delta/FSR and omega/FSR).
+    """
+    w = np.asarray(omega_grid, dtype=float)
+    w_labels = [label(x) for x in w.tolist()]
     for delta in delta_values:
-        link = make_link(gamma0, tau, delta)
-        res = output_spectrum(link, omega_grid, broadening)
-        # Python floats: the CLI's rescale and the CSV writer run faster on them
-        for w, p in zip(res.omegas.tolist(), res.spectrum.tolist()):
-            rows.append((delta, w, p))
-    return rows
+        res = output_spectrum(make_link(gamma0, tau, delta), w, broadening)
+        yield from zip(itertools.repeat(label(delta)), w_labels, res.spectrum.tolist())

@@ -19,7 +19,7 @@ from . import __version__
 from .analytic import eigenfrequencies, spectrum_scan
 from .core import constant_pulse, make_grid, make_link
 from .dde import evolve_pair, evolve_single
-from .io import write_csv, write_json
+from .io import fmt, write_csv, write_json
 from .protocols import (ProtocolSpec, dark_bright, fidelity, loss_error,
                         make_pulses, run_protocol)
 from .sweep import ScanRecord, crossover, error_vs_duration, loss_scan, optimum
@@ -90,22 +90,24 @@ def cmd_spectrum(args) -> int:
     d0 = args.delta_fsr * math.pi
     deltas = np.linspace(d0, d0 + math.pi, args.delta_steps).tolist()
     omegas = np.linspace(d0 - 0.5 * math.pi, d0 + 1.5 * math.pi, args.omega_steps)
-    rows = spectrum_scan(gamma, 1.0, deltas, omegas, args.broadening)
-    # rescale in place: a second copy of the heatmap would raise peak memory
-    for i, (d, w, p) in enumerate(rows):
-        rows[i] = (d / math.pi, w / math.pi, p)
+    # solved before the heatmap is written: a failure here leaves no file
     eigen_rows = [(d / math.pi, lam / math.pi) for d in deltas
                   for lam in eigenfrequencies(make_link(gamma, 1.0, d),
                                               (omegas[0], omegas[-1]))]
     meta = _meta(gamma_tau=gamma, broadening=args.broadening)
+    columns = ["delta_fsr", "omega_fsr", "power"]
     if args.format == "json":
+        rows = list(spectrum_scan(gamma, 1.0, deltas, omegas, args.broadening,
+                                  label=lambda x: x / math.pi))
         write_json(args.out, {"meta": meta,
-                              "heatmap": {"columns": ["delta_fsr", "omega_fsr", "power"],
-                                          "rows": rows},
+                              "heatmap": {"columns": columns, "rows": rows},
                               "eigenfrequencies": {"columns": ["delta_fsr", "lambda_fsr"],
                                                    "rows": eigen_rows}})
     else:
-        write_csv(args.out, ["delta_fsr", "omega_fsr", "power"], rows, meta)
+        # streamed: one Delta's rows at a time, its labels already text
+        write_csv(args.out, columns,
+                  spectrum_scan(gamma, 1.0, deltas, omegas, args.broadening,
+                                label=lambda x: fmt(x / math.pi)), meta)
         write_csv(str(args.out) + ".eigen.csv",
                   ["delta_fsr", "lambda_fsr"], eigen_rows, meta)
     return 0

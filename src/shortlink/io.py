@@ -12,7 +12,10 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 OUTPUT_DIR_ENV = "SHORTLINK_OUTDIR"
+_CHUNK = 1024  # rows formatted and written at a time
 
 
 def fmt(x) -> str:
@@ -40,28 +43,49 @@ def resolve_output(path) -> Path:
 
 
 def write_csv(path, columns, rows, meta=None) -> Path:
-    """Write rows (iterable of sequences) with metadata comments and header.
+    """Write rows (any iterable of sequences) with metadata comments and header.
 
-    A list of tuples of Python floats is formatted by one `%.12g` template
-    in one pass, the text `fmt` gives each value.  Other rows go through
-    `fmt` value by value: `%.12g` would print 10**12 as 1e+12 and True as 1.
+    Rows are formatted and written `_CHUNK` at a time, so a generator's rows
+    are never all held.  A chunk whose columns are each all `float` or all
+    `str` takes one `%.12g`/`%s` template (a float64 ndarray is read as Python
+    floats); any other goes through `fmt` value by value, since `%.12g` would
+    print 10**12 as 1e+12, True as 1 and a float32 0.1 as 0.100000001490.
+    The text replaces `path` only once every row is written, so a failure at
+    any point leaves no new or altered file.
     """
+    head = [f"# {key} = {fmt(meta[key])}" for key in (meta or {})]
+    head.append(",".join(columns))
     p = resolve_output(path)
-    lines = []
-    for key in (meta or {}):
-        lines.append(f"# {key} = {fmt(meta[key])}")
-    lines.append(",".join(columns))
-    width = len(columns)
-    if (type(rows) is list and set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {width}
-            and set(map(type, itertools.chain.from_iterable(rows))) <= {float}):
-        lines += map(",".join(["%.12g"] * width).__mod__, rows)  # no Python code per row
-    else:
-        for row in rows:
-            if len(row) != width:
-                raise ValueError(f"row width {len(row)} != {width} columns")
-            lines.append(",".join([fmt(v) for v in row]))
-    p.write_text("\n".join(lines) + "\n")
+    tmp = p.with_name(f"{p.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(head) + "\n")
+            for chunk in _chunks(rows):
+                fh.write(_chunk_text(chunk, len(columns)))
+        os.replace(tmp, p)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return p
+
+
+def _chunks(rows):
+    """Lists of at most `_CHUNK` rows; a float64 ndarray's as Python floats."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        return (rows[i:i + _CHUNK].tolist() for i in range(0, len(rows), _CHUNK))
+    it = iter(rows)
+    return iter(lambda: list(itertools.islice(it, _CHUNK)), [])
+
+
+def _chunk_text(chunk, width) -> str:
+    if set(map(len, chunk)) != {width}:
+        bad = next(n for n in map(len, chunk) if n != width)
+        raise ValueError(f"row width {bad} != {width} columns")
+    kinds = [set(map(type, col)) for col in zip(*chunk)]
+    if all(k == {float} or k == {str} for k in kinds):
+        line = ",".join("%.12g" if k == {float} else "%s" for k in kinds) + "\n"
+        return "".join(map(line.__mod__, map(tuple, chunk)))  # no Python code per row
+    return "".join(",".join([fmt(v) for v in row]) + "\n" for row in chunk)
 
 
 def write_json(path, obj) -> Path:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +40,14 @@ class ScanRecord:
     infidelity: float
     loss_integral: float = 0.0
     note: str = ""
+
+
+def _caller_level() -> int:
+    """`stacklevel` naming the innermost caller outside this module (also via `optimum`)."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _run(kind: str, gamma0_tau: float, T: float, steps_per_tau: int):
@@ -116,7 +125,7 @@ def optimal_swap(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
     if 0 < k < len(Ts) - 1:
         return _refined("swap", gamma0_tau, Ts, k, steps_per_tau)
     warnings.warn("no interior SWAP minimum in the Rabi bracket; "
-                  "returning the best endpoint", RuntimeWarning, stacklevel=2)
+                  "returning the best endpoint", RuntimeWarning, stacklevel=_caller_level())
     t_opt = float(Ts[k])
     n_int = photon_integral(_run("swap", gamma0_tau, t_opt, steps_per_tau))
     return ScanRecord("swap", gamma0_tau, t_opt, float(errs[k]), n_int, "bracket-endpoint")

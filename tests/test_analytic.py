@@ -337,7 +337,7 @@ class TestSpectrum:
             with pytest.raises(ValueError, match=f"^broadening must be finite, got {bad}$"):
                 output_amplitude(link, np.array([0.5, 1.0]), bad)
             with pytest.raises(ValueError, match="broadening must be finite"):
-                spectrum_scan(0.2, 1.0, [0.0], np.array([0.5, 1.0]), bad)
+                list(spectrum_scan(0.2, 1.0, [0.0], np.array([0.5, 1.0]), bad))
 
     def test_quasi_dark_suppression(self):
         # integrated weight near the emitter line, resonant vs quasi-dark
@@ -352,6 +352,23 @@ class TestSpectrum:
         assert ratio >= 5.0
 
     def test_spectrum_scan_rows(self):
-        rows = spectrum_scan(0.15, 1.0, [10.0, 11.0], np.linspace(8.0, 12.0, 5))
+        rows = list(spectrum_scan(0.15, 1.0, [10.0, 11.0], np.linspace(8.0, 12.0, 5)))
         assert len(rows) == 10
         assert rows[0][0] == 10.0 and rows[-1][0] == 11.0
+
+    def test_spectrum_scan_is_lazy_and_labels_each_value_once(self):
+        labelled = []
+
+        def label(x):
+            labelled.append(x)
+            return x / math.pi
+
+        omegas = np.linspace(8.0, 12.0, 5)
+        rows = spectrum_scan(0.15, 1.0, [10.0, 11.0], omegas, 0.02, label=label)
+        assert labelled == []  # nothing runs before the first row is asked for
+        rows = list(rows)
+        assert labelled == [*omegas.tolist(), 10.0, 11.0]
+        for i, d in enumerate((10.0, 11.0)):
+            power = output_spectrum(make_link(0.15, 1.0, d), omegas, 0.02).spectrum
+            assert rows[5 * i:5 * i + 5] == list(zip([d / math.pi] * 5,
+                                                     (omegas / math.pi).tolist(), power.tolist()))

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -105,6 +106,24 @@ class TestSpectrum:
         doc = json.loads((outdir / "spec.json").read_text())
         assert set(doc) == {"meta", "heatmap", "eigenfrequencies"}
         assert len(doc["heatmap"]["rows"]) == 51
+
+    def test_heatmap_streamed_in_bounded_memory(self, outdir):
+        # the 41 x 2001 table is never held (as rows, lines and one string it
+        # took 23 MB); only the eigenfrequency rows, a few per Delta, grow
+        # with --delta-steps
+        assert run("spectrum", "--gamma-tau", "0.15", "--delta-steps", "2",
+                   "--omega-steps", "11", "--out", "warm.csv") == 0
+        peaks = []
+        for steps in ("41", "82"):
+            tracemalloc.start()
+            try:
+                assert run("spectrum", "--gamma-tau", "0.15", "--delta-steps", steps,
+                           "--omega-steps", "2001", "--out", "spec.csv") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 4e6
+        assert peaks[1] < peaks[0] + 256 * 1024
 
     @pytest.mark.parametrize("argv, message", [
         (("--broadening", "nan"), "broadening must be finite, got nan"),

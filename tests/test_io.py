@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shortlink import io
 from shortlink.io import write_csv
 
 
@@ -60,3 +61,67 @@ def test_row_width_error(tmp_path):
         write_csv(tmp_path / "t.csv", ["a", "b", "c"], np.zeros((2, 2)))
     with pytest.raises(ValueError, match=r"^row width 4 != 3 columns$"):
         write_csv(tmp_path / "t.csv", ["a", "b", "c"], [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)])
+
+
+N = io._CHUNK  # rows the writer formats at a time
+
+
+def _lines(path):
+    return path.read_text().splitlines(keepends=True)
+
+
+def _rows_then_raise(n):
+    yield from ((float(i), 0.5, -0.0) for i in range(n))
+    raise RuntimeError("row source failed")
+
+
+@pytest.mark.parametrize("existing", [None, "# old\na,b,c\n1,2,3\n"])
+@pytest.mark.parametrize("rows, error, match", [
+    (lambda: _rows_then_raise(2 * N + 7), RuntimeError, "^row source failed$"),
+    (lambda: [(0.5, 0.25, 1.0)] * (N + 3) + [(0.5, 0.25)] + [(1.0, 2.0, 3.0)] * 5,
+     ValueError, r"^row width 2 != 3 columns$"),
+    (lambda: np.zeros((2 * N + 1, 2)), ValueError, r"^row width 2 != 3 columns$"),
+], ids=["generator-raises", "width-error-in-later-chunk", "narrow-float64-array"])
+def test_failure_leaves_no_new_or_altered_file(tmp_path, monkeypatch, existing, rows, error, match):
+    monkeypatch.delenv("SHORTLINK_OUTDIR", raising=False)
+    path = tmp_path / "t.csv"
+    if existing is not None:
+        path.write_text(existing)
+    with pytest.raises(error, match=match):
+        write_csv(path, ["a", "b", "c"], rows(), {"tool": "shortlink"})
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == existing
+
+
+def test_chunks_of_every_kind_match_reference(tmp_path, monkeypatch):
+    # one chunk each of: Python floats (template), str and float columns
+    # (template), one odd cell among floats (fmt), float64 values (fmt),
+    # then a short tail of Python floats; streamed from a generator
+    monkeypatch.delenv("SHORTLINK_OUTDIR", raising=False)
+    rng = np.random.default_rng(5)
+    values = (rng.standard_normal(3 * N) * 10.0 ** rng.integers(-300, 300, 3 * N)).tolist()
+    floats = [tuple(values[i:i + 3]) for i in range(0, 3 * N, 3)] + [tuple(SPECIALS[:3])]
+    labelled = [("%.12g" % a, b, "note") for a, b, _ in floats[:N]]
+    odd = floats[:N - 1] + [(0.5, 10**12, True)]
+    numpy_floats = [tuple(map(np.float64, row)) for row in floats[:N]]
+    rows = floats[:N] + labelled + odd + numpy_floats + floats[N:]
+    columns, meta = ["a", "b", "c"], {"tool": "shortlink"}
+    path = write_csv(tmp_path / "t.csv", columns, iter(rows), meta)
+    # compared as lists of lines: pytest's diff of two long strings takes minutes
+    assert _lines(path) == _reference_csv(columns, rows, meta).splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_arrays_over_several_chunks_match_reference(tmp_path, monkeypatch, dtype):
+    # float64 takes the template through .tolist(); float32 stays on fmt,
+    # where %.12g of a widened float32 0.1 would print 0.100000001490
+    monkeypatch.delenv("SHORTLINK_OUTDIR", raising=False)
+    rng = np.random.default_rng(6)
+    rows = (rng.standard_normal((2 * N + 5, 3)) * 10.0 ** rng.integers(-30, 30, (2 * N + 5, 3)))
+    rows[:3] = [[math.nan, math.inf, -math.inf], [-0.0, 0.0, 0.1], [1 / 3, 123456.789e-20, 7.0]]
+    rows = rows.astype(dtype)
+    path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows, {})
+    assert _lines(path) == _reference_csv(["a", "b", "c"], rows, {}).splitlines(keepends=True)

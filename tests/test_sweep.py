@@ -124,6 +124,17 @@ class TestOptimalSwap:
                                  rec.loss_integral, "bracket-endpoint")
         assert rec.loss_integral > 0.0
 
+    @pytest.mark.parametrize("call", [
+        lambda: optimal_swap(20.0),
+        lambda: optimum("swap", 20.0),
+        lambda: scan_protocols([20.0], ("swap",)),
+    ], ids=["optimal_swap", "optimum", "scan_protocols"])
+    def test_bracket_endpoint_warning_names_the_caller(self, call):
+        # not a line of sweep.py, whichever of its functions was called
+        with pytest.warns(RuntimeWarning, match="no interior SWAP minimum") as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
+
 
 class TestOptimalStirap:
     def test_first_valley_near_rule_of_thumb(self):

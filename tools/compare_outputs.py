@@ -45,6 +45,10 @@ COMMANDS = [
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "3", "--omega-steps", "51"],
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "3", "--omega-steps", "51",
      "--format", "json"],
+    ["spectrum", "--gamma-tau", "0.15", "--delta-fsr", "-2.5", "--delta-steps", "4",
+     "--omega-steps", "33"],
+    ["spectrum", "--gamma-tau", "0.15", "--broadening", "0", "--delta-steps", "3",
+     "--omega-steps", "51"],
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "2", "--omega-steps", "11",
      "--delta-fsr", "-inf"],
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "2", "--omega-steps", "11",
