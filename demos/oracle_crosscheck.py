@@ -18,17 +18,19 @@ import numpy as np
 from shortlink.core import constant_pulse, make_grid, make_link
 from shortlink.dde import evolve_pair
 from shortlink.io import write_csv
-from shortlink.ww import build_modes, evolve_ww, unitarity_defect
+from shortlink.ww import build_modes, evolve_ww, steps_for_modes, unitarity_defect
 
 gamma, tau = 0.1, 1.0
 link = make_link(gamma, tau, 50.0 * math.pi)  # emitter at the 50th link mode
-grid = make_grid(tau, 12.0, 2400)  # fine enough for the widest detuned mode
+modes = build_modes(link, 401)
+# fine enough for the widest detuned mode, a multiple of the CLI's 200 steps/tau
+grid = make_grid(tau, 12.0, steps_for_modes(link, modes, 200))
 pulse = constant_pulse(gamma, (0.0, grid.t_end))
 
 t0 = time.perf_counter()
 dde = evolve_pair(link, pulse, pulse, (1.0, 0.0), grid)
 t1 = time.perf_counter()
-ww = evolve_ww(link, build_modes(link, 401), (pulse, pulse), (1.0, 0.0), grid)
+ww = evolve_ww(link, modes, (pulse, pulse), (1.0, 0.0), grid)
 t2 = time.perf_counter()
 
 dev = np.max(np.abs(dde.populations() - ww.populations()))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from shortlink.analytic import (eigenfrequencies, output_amplitude,
-                                resonant_splitting)
+                                resonant_splitting, spectrum_scan)
 from shortlink.core import make_link
 from shortlink.io import write_csv
 
@@ -25,14 +25,8 @@ d0 = 50.0 * math.pi  # work around the 50th link mode
 deltas = np.linspace(d0, d0 + math.pi, 81)
 omegas = np.linspace(d0 - 0.5 * math.pi, d0 + 1.5 * math.pi, 601)
 
-rows, eigen_rows = [], []
-for d in deltas:
-    link = make_link(gamma, tau, d)
-    power = np.abs(output_amplitude(link, omegas, broadening=0.02)) ** 2
-    power /= power.max()
-    rows.extend((d / math.pi, w / math.pi, p) for w, p in zip(omegas, power))
-    eigen_rows.extend((d / math.pi, lam / math.pi)
-                      for lam in eigenfrequencies(link, (omegas[0], omegas[-1])))
+eigen_rows = [(d / math.pi, lam / math.pi) for d in deltas
+              for lam in eigenfrequencies(make_link(gamma, tau, d), (omegas[0], omegas[-1]))]
 
 split = resonant_splitting(make_link(gamma, tau, d0))
 print(f"gamma*tau = {gamma}")
@@ -49,6 +43,8 @@ def line_weight(delta):
 print(f"emitter-line weight, resonant / quasi-dark = "
       f"{line_weight(d0) / line_weight(d0 + 0.5 * math.pi):.1f}x suppression")
 
+# heat-map rows (Delta/FSR, omega/FSR, power), each spectrum normalized to 1
+rows = spectrum_scan(gamma, tau, deltas, omegas, 0.02, label=lambda x: x / math.pi)
 p1 = write_csv("spectroscopy.csv", ["delta_fsr", "omega_fsr", "power"], rows,
                {"gamma_tau": gamma, "broadening": 0.02})
 p2 = write_csv("spectroscopy_eigen.csv", ["delta_fsr", "lambda_fsr"],

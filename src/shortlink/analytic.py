@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LinkParams, TWO_PI, make_link, phase_factor
+from .core import LinkParams, TWO_PI, _check_finite, make_link, phase_factor
 
 _N_MAX_HARD = 500
 
@@ -259,8 +259,7 @@ def output_amplitude(link: LinkParams, omega, broadening: float = 0.0):
     moves the evaluation off the real axis (the undamped poles are real), which
     turns each line into a finite Lorentzian of common width.
     """
-    if not math.isfinite(broadening):
-        raise ValueError(f"broadening must be finite, got {broadening}")
+    _check_finite("broadening", broadening)
     w = np.asarray(omega, dtype=float)
     s = broadening - 1j * (w - link.delta)
     E = np.exp(1j * math.fmod(2.0 * link.phi, TWO_PI) - 2.0 * s * link.tau)

@@ -17,13 +17,13 @@ import numpy as np
 
 from . import __version__
 from .analytic import eigenfrequencies, spectrum_scan
-from .core import constant_pulse, make_grid, make_link
+from .core import _check_finite, constant_pulse, make_grid, make_link
 from .dde import evolve_pair, evolve_single
 from .io import fmt, write_csv, write_json
 from .protocols import (ProtocolSpec, dark_bright, fidelity, loss_error,
                         make_pulses, run_protocol)
 from .sweep import ScanRecord, crossover, error_vs_duration, loss_scan, optimum
-from .ww import build_modes, evolve_ww
+from .ww import build_modes, evolve_ww, steps_for_modes
 
 
 _NEGATIVE_NUMBER = re.compile(r"^-(\d|\.\d|inf(inity)?$|nan$)", re.IGNORECASE)
@@ -33,16 +33,6 @@ def _meta(**extra):
     m = {"tool": f"shortlink {__version__}"}
     m.update(extra)
     return m
-
-
-def _steps_for_modes(modes, delta, requested):
-    """Step density fine enough for the widest detuned mode in the ladder."""
-    nu_max = float(np.max(np.abs(modes.omegas - delta)))
-    needed = int(math.ceil(nu_max / 0.5)) + 1
-    # keep the refined grid an integer multiple of the requested density so
-    # overlay columns can be decimated onto the base grid exactly
-    factor = max(1, int(math.ceil(needed / requested)))
-    return requested * factor
 
 
 def cmd_simulate(args) -> int:
@@ -58,7 +48,7 @@ def cmd_simulate(args) -> int:
     data.append(np.gradient(traj.populations()[0], grid.h))
     if args.ww:
         modes = build_modes(link, args.n_modes)
-        M = _steps_for_modes(modes, link.delta, args.steps_per_tau)
+        M = steps_for_modes(link, modes, args.steps_per_tau)
         wgrid = make_grid(1.0, args.t_end, M)
         wpulse = constant_pulse(args.gamma_tau, (0.0, wgrid.t_end))
         ww = evolve_ww(link, modes, (wpulse, wpulse) if args.emitters == 2
@@ -80,8 +70,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if not math.isfinite(args.delta_fsr):
-        raise ValueError(f"--delta-fsr must be finite, got {args.delta_fsr}")
+    _check_finite("--delta-fsr", args.delta_fsr)
     if args.delta_steps < 1:
         raise ValueError(f"--delta-steps must be >= 1, got {args.delta_steps}")
     if args.omega_steps < 2:
@@ -123,8 +112,7 @@ def cmd_protocol(args) -> int:
         t_lo = args.t_min if args.t_min is not None else 2.0
         t_hi = args.t_max if args.t_max is not None else 2.0 * math.pi / math.sqrt(g)
         for flag, value in (("--t-min", t_lo), ("--t-max", t_hi)):
-            if not math.isfinite(value):
-                raise ValueError(f"{flag} must be finite, got {value}")
+            _check_finite(flag, value)
         Ts = np.arange(t_lo, t_hi + 1e-9, args.t_step)
         if Ts.size == 0:
             raise ValueError(f"--scan-t range {t_lo} to {t_hi} holds no duration")
@@ -172,6 +160,10 @@ def cmd_scan(args) -> int:
         write_json(str(args.out) + ".fits.json",
                    {k: out[k]["fit"] for k in out})
         return 0
+    if args.ww:  # a bad oracle set-up fails here, before any run
+        link = make_link(1.0, 1.0, args.delta_fsr * math.pi)
+        modes = build_modes(link, args.n_modes)
+        M = steps_for_modes(link, modes, args.steps_per_tau)
     records = []
     for kind in protocols:
         for g in grid:
@@ -188,17 +180,14 @@ def cmd_scan(args) -> int:
                          "infidelity", "loss_error", "note"], rows, _meta())
     summary = {"crossover_gamma0_tau": crossover(records)}
     if args.ww:
-        summary["ww"] = _ww_overlay(records, args)
+        summary["ww"] = _ww_overlay(records, link.delta, modes, M)
     write_json(str(args.out) + ".summary.json", summary)
     return status
 
 
-def _ww_overlay(records, args):
+def _ww_overlay(records, delta, modes, M):
     """Re-run each optimized protocol point in the mode-resolved model."""
     out = []
-    delta = args.delta_fsr * math.pi
-    modes = build_modes(make_link(1.0, 1.0, delta), args.n_modes)
-    M = _steps_for_modes(modes, delta, args.steps_per_tau)
     for r in records:
         if not math.isfinite(r.t_opt):
             continue

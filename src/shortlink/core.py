@@ -18,7 +18,7 @@ NON_FINITE = "non-finite amplitude; check the couplings for NaN or inf"
 
 def _check_finite(name, value):
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -236,6 +236,8 @@ def make_grid(tau: float, t_end: float, steps_per_tau: int = 200) -> TimeGrid:
         raise ValueError("t_end must be > 0")
     h = tau / steps_per_tau
     n = int(math.ceil(t_end / h - 1e-9))
+    if n < 1:
+        raise ValueError(f"t_end={t_end} rounds to zero steps of h={h}")
     return TimeGrid(h=h, steps_per_tau=int(steps_per_tau), t_end=n * h, n_steps=n)
 
 

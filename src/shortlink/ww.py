@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NON_FINITE, LinkParams, TimeGrid, Trajectory, eval_pulse
+from .core import NON_FINITE, LinkParams, TimeGrid, Trajectory, eval_pulse, make_grid
 
 _MAX_PHASE_STEP = 0.5
 
@@ -62,6 +62,16 @@ def build_modes(link: LinkParams, n_modes: int) -> ModeSet:
     )
 
 
+def steps_for_modes(link: LinkParams, modes: ModeSet, base: int) -> int:
+    """Least multiple of `base` steps per tau (so the oracle's columns decimate
+    onto the base grid) keeping h * max|omega_k - Delta| under _MAX_PHASE_STEP.
+    """
+    make_grid(link.tau, link.tau, base)  # a base make_grid rejects fails here
+    nu_max = float(np.max(np.abs(modes.omegas - link.delta)))
+    needed = math.ceil(nu_max * link.tau / _MAX_PHASE_STEP) + 1
+    return base * max(1, math.ceil(needed / base))
+
+
 @dataclass
 class WWTrajectory(Trajectory):
     """Trajectory plus the link-photon record of the mode-resolved run."""
@@ -89,9 +99,8 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     i_nu = -1j * (modes.omegas - link.delta)
     h = grid.h
     if h * float(np.max(np.abs(i_nu))) > _MAX_PHASE_STEP:
-        raise ValueError(
-            "grid too coarse for this mode ladder: need h * max|omega_k - Delta| <= 0.5"
-        )
+        raise ValueError("grid too coarse for this mode ladder: "
+                         f"need h * max|omega_k - Delta| <= {_MAX_PHASE_STEP}")
     N = grid.n_steps
     t_nodes = grid.times()
     gamma = np.array([eval_pulse(p, t_nodes) for p in pulses], dtype=float)

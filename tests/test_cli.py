@@ -83,6 +83,11 @@ class TestSimulate:
             assert run("simulate", "--gamma-tau", "0.1", "--t-end", t_end,
                        "--out", "x.csv") == 1
             assert "t_end must be finite" in capsys.readouterr().err
+        # a t_end under one step once ended in numpy's gradient error
+        assert run("simulate", "--gamma-tau", "0.1", "--t-end", "1e-12",
+                   "--out", "x.csv") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: t_end=1e-12 rounds to zero steps of h=0.005"]
         assert not (outdir / "x.csv").exists()
 
 
@@ -307,6 +312,20 @@ class TestScan:
         assert lines[-1].startswith("swap,0.2,") and lines[-1].endswith(",")
         ww = json.loads((outdir / "s.csv.summary.json").read_text())["ww"]
         assert [(r["protocol"], r["gamma0_tau"]) for r in ww] == [("swap", 0.2)]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--n-modes", "2"), "n_modes must be odd and >= 1"),
+        (("--delta-fsr", "nan"), "delta must be finite, got nan"),
+        (("--steps-per-tau", "0"), "steps_per_tau must be >= 4"),
+    ])
+    def test_ww_setup_fails_before_the_scan(self, outdir, capsys, monkeypatch, argv, message):
+        def no_run(*args):  # a raising row would be flagged, and the file checked below
+            raise AssertionError("optimum called")
+        monkeypatch.setattr("shortlink.cli.optimum", no_run)
+        assert run("scan", "--grid", "0.2", "--protocols", "czkm", "--ww", *argv,
+                   "--out", "s.csv") == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize("g", ["0", "-1", "nan"])
     def test_loss_scan_rejects_bad_coupling(self, outdir, capsys, g):

@@ -168,7 +168,7 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid(1.0, 0.0, 10)
         for tau, t_end in ((1.0, math.inf), (1.0, math.nan), (math.nan, 1.0),
-                           (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0)):
+                           (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 1e-12)):
             with pytest.raises(ValueError):
                 make_grid(tau, t_end, 10)
 

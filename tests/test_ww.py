@@ -6,7 +6,7 @@ import pytest
 from shortlink.core import (constant_pulse, eval_pulse, make_grid, make_link, sampled_pulse,
                             sin2_pulse)
 from shortlink.dde import evolve_pair, evolve_single
-from shortlink.ww import build_modes, evolve_ww, unitarity_defect
+from shortlink.ww import build_modes, evolve_ww, steps_for_modes, unitarity_defect
 
 
 class TestBuildModes:
@@ -31,6 +31,17 @@ class TestBuildModes:
             build_modes(link, 10)
         with pytest.raises(ValueError):
             build_modes(link, -3)
+
+
+def test_steps_for_modes_at_cli_defaults():
+    # Delta = 50 FSR with 401 modes from the first one: max|omega_k - Delta| = 351 pi
+    link = make_link(0.1, 1.0, 50 * math.pi)
+    modes = build_modes(link, 401)
+    assert steps_for_modes(link, modes, 200) == 2400
+    p = constant_pulse(0.1, (0.0, 1.0))
+    evolve_ww(link, modes, (p, p), (1.0, 0.0), make_grid(1.0, 0.01, 2400))
+    with pytest.raises(ValueError, match="too coarse"):
+        evolve_ww(link, modes, (p, p), (1.0, 0.0), make_grid(1.0, 0.01, 2200))
 
 
 def _run_pair(gamma, delta, n_modes, t_end, steps):

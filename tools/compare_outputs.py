@@ -38,6 +38,8 @@ COMMANDS = [
     ["scan", "--protocols", "bogus"],
     ["scan", "--protocols", "swap,czkm", "--grid", "0.5,1.0", "--kappa-tau", "0.3"],
     ["scan", "--grid", "nan,0.2", "--protocols", "swap", "--ww", "--n-modes", "41"],
+    *[["scan", "--grid", "0.2", "--protocols", "czkm", "--ww", *bad]
+      for bad in (("--n-modes", "2"), ("--delta-fsr", "nan"), ("--steps-per-tau", "0"))],
     ["spectrum", "--gamma-tau", "0.15"],
     ["spectrum", "--gamma-tau", "0.15", "--format", "json"],
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "5", "--omega-steps", "101",
@@ -56,6 +58,7 @@ COMMANDS = [
     ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww"],
     ["simulate", "--gamma-tau", "0.1", "--ww", "--delta-fsr", "50.3"],
     ["simulate", "--gamma-tau", "3000", "--t-end", "3", "--delta-fsr", "0"],
+    ["simulate", "--gamma-tau", "0.1", "--t-end", "1e-12"],
     *[["simulate", "--gamma-tau", "1.3", "--emitters", em, "--delta-fsr", d, "--format", f]
       for em in ("1", "2") for d in ("50", "50.3") for f in ("csv", "json")],
     ["protocol", "swap", "--gamma-tau", "0.2", "--scan-t"],
@@ -68,6 +71,7 @@ COMMANDS = [
     ["protocol", "czkm", "--gamma-tau", "1", "--optimize"],
     ["protocol", "czkm", "--gamma-tau", "0.2", "--t", "9", "--kappa-tau", "0.2"],
     ["protocol", "swap", "--gamma-tau", "0.2", "--t", "3", "--kappa-tau", "0.5"],
+    ["protocol", "swap", "--gamma-tau", "0.2", "--t", "1e-12"],
 ]
 WORKLOADS = ["scan-default", "oracle-overlay", "crosscheck"]
 SEEDS = [0, 3]
