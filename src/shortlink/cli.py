@@ -20,8 +20,8 @@ from .analytic import eigenfrequencies, spectrum_scan
 from .core import _check_finite, constant_pulse, make_grid, make_link
 from .dde import evolve_pair, evolve_single
 from .io import fmt, write_csv, write_json
-from .protocols import (ProtocolSpec, dark_bright, fidelity, loss_error,
-                        make_pulses, run_protocol)
+from .protocols import (KINDS, ProtocolSpec, check_kind, dark_bright, fidelity,
+                        loss_error, make_pulses, run_protocol)
 from .sweep import ScanRecord, crossover, error_vs_duration, loss_scan, optimum
 from .ww import build_modes, evolve_ww, steps_for_modes
 
@@ -149,7 +149,11 @@ def cmd_protocol(args) -> int:
 def cmd_scan(args) -> int:
     grid = [float(g) for g in args.grid.split(",")]
     protocols = tuple(args.protocols.split(","))
-    loss_error(0.0, args.kappa_tau)  # a bad kappa fails here, before any run
+    # what no row can survive fails here, before any run or file
+    loss_error(0.0, args.kappa_tau)
+    for kind in protocols:
+        check_kind(kind)
+    make_grid(1.0, 1.0, args.steps_per_tau)
     status = 0
     if args.loss:
         out = loss_scan(grid, kappa_tau=args.kappa_tau, protocols=protocols,
@@ -251,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("protocol", help="run or optimize one transfer protocol")
-    p.add_argument("kind", choices=("swap", "stirap", "czkm"))
+    p.add_argument("kind", choices=KINDS)
     p.add_argument("--gamma-tau", type=float, required=True)
     p.add_argument("--t", type=float, help="duration in units of tau")
     p.add_argument("--optimize", action="store_true")
@@ -267,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="protocol benchmark over a coupling grid")
     p.add_argument("--grid", default="0.05,0.1,0.2,0.5,1.0,1.44,2.0")
-    p.add_argument("--protocols", default="swap,stirap,czkm")
+    p.add_argument("--protocols", default=",".join(KINDS))
     p.add_argument("--loss", action="store_true",
                    help="loss-error scan instead of infidelity scan")
     p.add_argument("--kappa-tau", type=float, default=0.01, help="loss rate kappa*tau >= 0")

@@ -29,9 +29,15 @@ from .core import (LinkParams, PulseProfile, Trajectory, constant_pulse, eval_pu
                    make_grid, sampled_pulse, sin2_pulse, tanh_pulse)
 from .dde import evolve_pair, evolve_single
 
-_KINDS = ("swap", "stirap", "czkm")
+KINDS = ("swap", "stirap", "czkm")
 
 _DENOM_FLOOR = 1e-12
+
+
+def check_kind(kind: str) -> None:
+    """Reject a protocol name that is not one of KINDS."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown protocol {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,7 @@ class ProtocolSpec:
     duration: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown protocol kind {self.kind!r}")
+        check_kind(self.kind)
         if self.gamma0 <= 0 or self.duration <= 0:
             raise ValueError("need gamma0 > 0 and duration > 0")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import make_link
-from .protocols import (ProtocolSpec, czkm_exact_error, fidelity,
+from .protocols import (KINDS, ProtocolSpec, check_kind, czkm_exact_error, fidelity,
                         loss_error, photon_integral, transfer)
 
 log = logging.getLogger(__name__)
@@ -48,6 +48,12 @@ def _caller_level() -> int:
     while frame.f_back is not None and frame.f_globals is globals():
         frame, level = frame.f_back, level + 1
     return level
+
+
+def _check_coupling(gamma0_tau: float) -> None:
+    """Reject a coupling that is not finite and > 0; NaN fails the comparison."""
+    if not 0 < gamma0_tau < math.inf:
+        raise ValueError(f"gamma0_tau grid must be finite and > 0, got {gamma0_tau}")
 
 
 def _run(kind: str, gamma0_tau: float, T: float, steps_per_tau: int):
@@ -116,8 +122,7 @@ def optimal_swap(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
     Coarse scan of T over [0.5, 1.5] * pi/Omega with Omega = sqrt(gamma0/tau),
     then golden-section refinement to relative duration resolution 1e-4.
     """
-    if gamma0_tau <= 0:
-        raise ValueError("gamma0_tau must be > 0")
+    _check_coupling(gamma0_tau)
     t_rabi = math.pi / math.sqrt(gamma0_tau)
     Ts = np.linspace(0.5 * t_rabi, 1.5 * t_rabi, _N_COARSE)
     errs = error_vs_duration("swap", gamma0_tau, Ts, steps_per_tau)
@@ -138,8 +143,7 @@ def optimal_stirap(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
     the valley once the error has risen back above it by 5% (so grid-level
     noise is not declared a valley), and is then refined by golden section.
     """
-    if gamma0_tau <= 0:
-        raise ValueError("gamma0_tau must be > 0")
+    _check_coupling(gamma0_tau)
     t_max = 100.0 / math.sqrt(gamma0_tau)
     f = lambda T: _error("stirap", gamma0_tau, float(T), steps_per_tau)
 
@@ -166,6 +170,7 @@ def czkm_record(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
     The error is the closed-form bright-state formula (`czkm_exact_error`);
     no two-emitter run is made, so the loss integral is left at 0.
     """
+    _check_coupling(gamma0_tau)
     T = 9.0 / math.sqrt(gamma0_tau)
     return ScanRecord("czkm", gamma0_tau, T,
                       czkm_exact_error(gamma0_tau, 1.0, T, steps_per_tau))
@@ -173,18 +178,15 @@ def czkm_record(gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
 
 def optimum(kind: str, gamma0_tau: float, steps_per_tau: int = 200) -> ScanRecord:
     """Optimized record of one protocol (swap, stirap or czkm) at one coupling."""
-    if gamma0_tau <= 0:
-        raise ValueError("gamma0_tau grid must be positive")
+    check_kind(kind)
     if kind == "swap":
         return optimal_swap(gamma0_tau, steps_per_tau)
     if kind == "stirap":
         return optimal_stirap(gamma0_tau, steps_per_tau)
-    if kind == "czkm":
-        return czkm_record(gamma0_tau, steps_per_tau)
-    raise ValueError(f"unknown protocol {kind!r}")
+    return czkm_record(gamma0_tau, steps_per_tau)
 
 
-def scan_protocols(gamma0_tau_grid, protocols=("swap", "stirap", "czkm"),
+def scan_protocols(gamma0_tau_grid, protocols=KINDS,
                    steps_per_tau: int = 200) -> list:
     """Optimized records for each requested protocol over a coupling grid."""
     grid = [float(g) for g in gamma0_tau_grid]
@@ -226,7 +228,7 @@ def fit_power_law(points):
 
 
 def loss_scan(gamma0_tau_grid, kappa_tau: float = 0.01,
-              protocols=("swap", "stirap", "czkm"),
+              protocols=KINDS,
               steps_per_tau: int = 200) -> dict:
     """Loss-induced error vs protocol duration at the optimal-T rules.
 
@@ -234,14 +236,15 @@ def loss_scan(gamma0_tau_grid, kappa_tau: float = 0.01,
     (swap: pi/sqrt(g0 tau); stirap, czkm: 9/sqrt(g0 tau)), the full DDE run
     supplies the photon-number integral, and `loss_error` turns it into
     1 - exp(-kappa * integral n dt).  Returns per-protocol rows
-    (T/tau, loss_error) plus a power-law fit of loss vs duration.  kappa and
-    every coupling are checked before the first run.
+    (T/tau, loss_error) plus a power-law fit of loss vs duration.  kappa,
+    every protocol name and every coupling are checked before the first run.
     """
     loss_error(0.0, kappa_tau)
+    for kind in protocols:
+        check_kind(kind)
     grid = [float(g) for g in gamma0_tau_grid]
     for g in grid:
-        if not 0 < g < math.inf:
-            raise ValueError(f"gamma0_tau grid must be finite and > 0, got {g}")
+        _check_coupling(g)
     out = {}
     for kind in protocols:
         rows = []

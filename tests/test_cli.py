@@ -296,19 +296,23 @@ class TestScan:
                  if not l.startswith("#")]
         assert lines == [
             "protocol,gamma0_tau,T_opt_over_tau,infidelity,loss_error,note",
-            "swap,nan,nan,nan,0,error: gamma0 must be finite, got nan",
-            "swap,-1,nan,nan,0,error: gamma0_tau grid must be positive",
-            "stirap,nan,nan,nan,0,error: gamma0 must be finite, got nan",
-            "stirap,-1,nan,nan,0,error: gamma0_tau grid must be positive",
-            "czkm,nan,nan,nan,0,error: t_end must be finite, got nan",
-            "czkm,-1,nan,nan,0,error: gamma0_tau grid must be positive",
+            "swap,nan,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got nan",
+            "swap,-1,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got -1.0",
+            "stirap,nan,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got nan",
+            "stirap,-1,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got -1.0",
+            "czkm,nan,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got nan",
+            "czkm,-1,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got -1.0",
         ]
+        assert run("scan", "--grid", "inf", "--protocols", "swap", "--out", "bad.csv") == 1
+        assert (outdir / "bad.csv").read_text().splitlines()[-1] == (
+            "swap,inf,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got inf")
 
     def test_ww_overlay_skips_failed_rows(self, outdir):
         assert run("scan", "--grid", "nan,0.2", "--protocols", "swap", "--ww",
                    "--n-modes", "41", "--out", "s.csv") == 1
         lines = (outdir / "s.csv").read_text().splitlines()
-        assert lines[-2] == "swap,nan,nan,nan,0,error: gamma0 must be finite, got nan"
+        assert lines[-2] == ("swap,nan,nan,nan,0,"
+                             "error: gamma0_tau grid must be finite and > 0, got nan")
         assert lines[-1].startswith("swap,0.2,") and lines[-1].endswith(",")
         ww = json.loads((outdir / "s.csv.summary.json").read_text())["ww"]
         assert [(r["protocol"], r["gamma0_tau"]) for r in ww] == [("swap", 0.2)]
@@ -324,6 +328,23 @@ class TestScan:
         monkeypatch.setattr("shortlink.cli.optimum", no_run)
         assert run("scan", "--grid", "0.2", "--protocols", "czkm", "--ww", *argv,
                    "--out", "s.csv") == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--steps-per-tau", "0"), "steps_per_tau must be >= 4"),
+        (("--loss", "--steps-per-tau", "3"), "steps_per_tau must be >= 4"),
+        (("--protocols", "bogus"), "unknown protocol 'bogus'"),
+        (("--protocols", "czkm,swap,bogus"), "unknown protocol 'bogus'"),
+        (("--loss", "--protocols", "czkm,bogus"), "unknown protocol 'bogus'"),
+    ])
+    def test_request_fails_before_the_scan(self, outdir, capsys, monkeypatch, argv, message):
+        # a value no row can survive ends the command before any run or file
+        def no_run(*args, **kwargs):
+            raise AssertionError("a protocol ran")
+        for name in ("optimum", "loss_scan"):
+            monkeypatch.setattr(f"shortlink.cli.{name}", no_run)
+        assert run("scan", "--grid", "0.2", "--protocols", "czkm", *argv, "--out", "s.csv") == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert list(outdir.iterdir()) == []
 

@@ -1,8 +1,10 @@
+import importlib.util
 import math
 import re
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,32 @@ class TestBlockKernel:
             assert_same_bits(single.c, c)
             assert_same_bits(single.b_out, b)
 
+    @pytest.mark.parametrize("steps", [4, 5])
+    def test_smallest_blocks_match_stepwise_reference(self, steps):
+        # P = 4 or 5 steps, where the end half nodes meet the centred ones;
+        # runs shorter than one block, of a whole number of blocks and ending
+        # mid-block; real and complex, at zero and nonzero phase
+        for T in (0.5, 3.0, 2.6):
+            grid = make_grid(1.0, T, steps)
+            p1, p2 = tanh_pulse(0.8, 1.2, (0.0, T)), sin2_pulse(0.8, T, mirror=True)
+            for phi, c0 in SMALL_BLOCK_STARTS:
+                dde._last.clear()
+                pair = evolve_pair(make_link(0.8, 1.0, phi), p1, p2, c0, grid)
+                c, b = stepwise((p1, p2), [complex(z) for z in c0], grid, 2 * steps, 2.0 * phi)
+                assert_same_bits(pair.c, c)
+                assert_same_bits(pair.b_out, b)
+                dde._last.clear()
+                single = evolve_single(make_link(0.8, 1.0, 0.0), p1, c0[0], grid,
+                                       round_trip=(1.0, 2.0 * phi))
+                c, b = stepwise((p1,), (complex(c0[0]),), grid, steps, 2.0 * phi)
+                assert_same_bits(single.c, c)
+                assert_same_bits(single.b_out, b)
+
+
+# (phi, c0): real route at phase 1, complex routes at phase 1 and not
+SMALL_BLOCK_STARTS = [(0.0, (1.0, 0.0)), (1.1, (0.6, 0.8)), (0.0, (0.6j, 0.8)),
+                      (1.1, (0.6, 0.8j))]
+
 
 @pytest.fixture
 def rk4_steps(monkeypatch):
@@ -158,6 +186,41 @@ class TestResume:
                 assert x.dtype == y.dtype and x.flags.owndata
                 assert_same_bits(x, y)
         assert warm_steps < 0.7 * rk4_steps[0]  # 0.64 measured
+
+    @pytest.mark.parametrize("steps", [4, 5])
+    def test_smallest_blocks_resume(self, steps, rk4_steps):
+        # P = 4 or 5: each run resumes from the last one at the same phase and
+        # c0, growing from shorter than a block to a whole number of blocks,
+        # past it to mid-block, and back; constant and tanh couplings keep
+        # their first samples as the duration changes
+        def runs(shape, phi, c0):
+            for T in (0.5, 3.0, 2.6, 3.4, 3.0, 0.5):
+                grid = make_grid(1.0, T, steps)
+                p = (constant_pulse(0.7, (0.0, T)) if shape == "constant"
+                     else tanh_pulse(0.7, 1.3, (0.0, T)))
+                pair, lone = make_link(0.7, 1.0, phi), make_link(0.7, 1.0, 0.0)
+                yield (lambda p=p, grid=grid, link=pair: evolve_pair(link, p, p, c0, grid),
+                       ((p, p), c0, grid, 2 * steps, 2.0 * phi))
+                yield (lambda p=p, grid=grid: evolve_single(lone, p, c0[0], grid,
+                                                            round_trip=(1.0, 2.0 * phi)),
+                       ((p,), c0[:1], grid, steps, 2.0 * phi))
+
+        for shape in ("constant", "tanh"):
+            for phi, c0 in SMALL_BLOCK_STARTS:
+                calls = list(runs(shape, phi, c0))
+                dde._last.clear()
+                rk4_steps[0] = 0
+                warm = [run() for run, _ in calls]
+                warm_steps, rk4_steps[0] = rk4_steps[0], 0
+                for w, (run, ref) in zip(warm, calls):
+                    c = cold(run)
+                    for x, y in ((w.c, c.c), (w.b_out, c.b_out)):
+                        assert_same_bits(x, y)
+                    pulses, z0, grid, R, big_phi = ref
+                    c, b = stepwise(pulses, [complex(z) for z in z0], grid, R, big_phi)
+                    assert_same_bits(w.c, c)
+                    assert_same_bits(w.b_out, b)
+                assert warm_steps < rk4_steps[0]
 
     def test_lone_runs_resume_across_pair_runs(self, rk4_steps):
         # a lone emitter's run is kept apart from a pair's: lone runs at
@@ -253,6 +316,30 @@ class TestResume:
         re = evolve_single(link, p1, 1.0, grid)
         im = evolve_single(link, p1, 1j, grid)
         assert np.array_equal(im.c, 1j * re.c)
+
+
+def test_kernel_split_counts_runs_blocks_and_row_steps():
+    # tools/kernel_split.py wraps the kernel from outside: two cold pair
+    # runs of 2.6 tau at 20 steps per tau take 3 blocks each, the second
+    # emitter at rest through the first (52 + 32 steps)
+    path = Path(__file__).resolve().parents[1] / "tools" / "kernel_split.py"
+    spec = importlib.util.spec_from_file_location("kernel_split", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    link, grid = make_link(0.5, 1.0, 0.0), make_grid(1.0, 2.6, 20)
+
+    def two_runs():
+        dde._last.clear()
+        for g in (0.5, 0.6):
+            p = constant_pulse(g, (0.0, 2.6))
+            evolve_pair(link, p, p, (1.0, 0.0), grid)
+
+    wrapped = (dde._method_of_steps, dde._rk4_steps, dde.eval_pulse)
+    s = tool.split(dde, two_runs)
+    assert (s["runs"], s["blocks"], s["row_steps"]) == (2, 6, 2 * (52 + 32))
+    assert min(s["rk4_s"], s["sampling_s"], s["rest_s"]) > 0.0
+    assert s["rest_s"] == s["kernel_s"] - s["rk4_s"] - s["sampling_s"]
+    assert (dde._method_of_steps, dde._rk4_steps, dde.eval_pulse) == wrapped
 
 
 class TestSingleEmitter:

@@ -11,6 +11,9 @@ from shortlink.sweep import (ScanRecord, _error, _golden, crossover,
                              optimal_stirap, optimal_swap, optimum,
                              scan_protocols)
 
+# the one coupling message, before the value
+BAD_COUPLING = "gamma0_tau grid must be finite and > 0, got"
+
 
 def _both(f, bracket, tol):
     """(result or error, arguments f was called with) of _golden and of scipy's golden."""
@@ -112,8 +115,9 @@ class TestOptimalSwap:
         assert a == b
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            optimal_swap(-0.1)
+        for g in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{BAD_COUPLING} {g}$"):
+                optimal_swap(g)
 
     def test_bracket_endpoint_record(self):
         # strong coupling: the coarse scan's error falls to the bracket's top end
@@ -154,8 +158,8 @@ class TestOptimalStirap:
                                  note="no-valley-within-scan")
 
     def test_validation(self):
-        for g in (0.0, -0.1):
-            with pytest.raises(ValueError, match="^gamma0_tau must be > 0$"):
+        for g in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{BAD_COUPLING} {g}$"):
                 optimal_stirap(g)
 
 
@@ -191,12 +195,17 @@ class TestScanProtocols:
             scan_protocols([0.1, -0.2], protocols=("czkm",))
         with pytest.raises(ValueError):
             scan_protocols([0.1], protocols=("teleport",))
-        for kind in ("swap", "stirap", "czkm", "teleport"):
-            for g in (0.0, -0.2):
-                with pytest.raises(ValueError, match="^gamma0_tau grid must be positive$"):
+        # one coupling check, one message, for every protocol; the name is
+        # checked first
+        for kind in ("swap", "stirap", "czkm"):
+            for g in (0.0, -0.2, math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^{BAD_COUPLING} {g}$"):
                     optimum(kind, g)
+        for g in (0.1, math.nan):
+            with pytest.raises(ValueError, match="^unknown protocol 'teleport'$"):
+                optimum("teleport", g)
         with pytest.raises(ValueError, match="^unknown protocol 'teleport'$"):
-            optimum("teleport", 0.1)
+            loss_scan([0.1], protocols=("czkm", "teleport"))
 
 
 @pytest.mark.parametrize("kind,g,Ts", [

@@ -36,6 +36,9 @@ COMMANDS = [
     ["scan", "--grid", "nan,-1"],
     ["scan", "--grid", "nan,-1", "--protocols", "czkm"],
     ["scan", "--protocols", "bogus"],
+    ["scan", "--grid", "inf", "--protocols", "swap"],
+    ["scan", "--grid", "0.2", "--protocols", "czkm", "--steps-per-tau", "0"],
+    ["scan", "--loss", "--grid", "0.2", "--protocols", "czkm,bogus"],
     ["scan", "--protocols", "swap,czkm", "--grid", "0.5,1.0", "--kappa-tau", "0.3"],
     ["scan", "--grid", "nan,0.2", "--protocols", "swap", "--ww", "--n-modes", "41"],
     *[["scan", "--grid", "0.2", "--protocols", "czkm", "--ww", *bad]
@@ -59,6 +62,12 @@ COMMANDS = [
     ["simulate", "--gamma-tau", "0.1", "--ww", "--delta-fsr", "50.3"],
     ["simulate", "--gamma-tau", "3000", "--t-end", "3", "--delta-fsr", "0"],
     ["simulate", "--gamma-tau", "0.1", "--t-end", "1e-12"],
+    # the kernel's smallest blocks: P = 4 or 5 steps, runs ending mid-block
+    *[["simulate", "--gamma-tau", "1.3", "--emitters", em, "--delta-fsr", d, "--t-end", "6.1",
+       "--steps-per-tau", s] for em in ("1", "2") for d in ("50", "50.3") for s in ("4", "5")],
+    *[["protocol", kind, "--gamma-tau", "0.5", "--t", "6.3", "--steps-per-tau", s]
+      for kind in ("swap", "stirap", "czkm") for s in ("4", "5")],
+    ["protocol", "swap", "--gamma-tau", "0.5", "--optimize", "--steps-per-tau", "5"],
     *[["simulate", "--gamma-tau", "1.3", "--emitters", em, "--delta-fsr", d, "--format", f]
       for em in ("1", "2") for d in ("50", "50.3") for f in ("csv", "json")],
     ["protocol", "swap", "--gamma-tau", "0.2", "--scan-t"],
