@@ -22,7 +22,10 @@ of c are whole-array operations; those stages stay a Python loop, rounded
 exactly as a step-at-a-time integrator rounds them (real parts alone in a
 real problem); around it a block makes a fixed handful of numpy calls.  A
 run resumes at the last block it shares with the last run of as many
-emitters, and sets up its coefficients from there on only.
+emitters, and sets up its coefficients from there on only.  The numpy
+arrays are O(N) in the run's N steps; Python floats are held for one block
+only, and the one stored run per emitter count is released as soon as the
+next run has copied its prefix.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ _MID_W = np.array(_W1).reshape(4, 1, 1)
 
 _NORM_SLACK = 1e-9
 
-# per emitter count, the last run's key, samples, c and history; never
-# written once stored
+# per emitter count, the last run's (key, gamma, gh, c, hist); never
+# written once stored, and taken out by the run that reads it
 _last = {}
 
 
@@ -143,8 +146,9 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     per L) copies c and the history up to K, the last block boundary
     before the first step whose samples changed, and resumes there;
     nothing before K reads anything else.  Only the pulse samples cover
-    the whole grid: square roots, couplings and coefficient lists start
-    at K.
+    the whole grid: square roots and couplings start at K, and a block's
+    coefficient lists at the block.  A run takes the stored run out of the
+    store and drops it once its prefix is copied.
     """
     L = len(pulses)
     h, N, M = grid.h, grid.n_steps, grid.steps_per_tau
@@ -162,13 +166,21 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     gamma = np.array([eval_pulse(p, t) for p in pulses], dtype=float)
     gh = np.array([eval_pulse(p, t[:-1] + 0.5 * h) for p in pulses], dtype=float)
     key = repr((L, h, R, P, big_phi, c0))  # repr tells -0.0 from 0.0
-    last_key, last_samples, c_last, hist_last = _last.get(L, (None,) * 4)
+    stored = _last.pop(L, None)  # out of the store: no run overlaps the run it replaces
     K = 0
-    if key == last_key:  # the first step whose samples changed, down to a block boundary
-        (gamma_old, gh_old), n = last_samples, min(N, last_samples[1].shape[1])
-        node = (gamma[:, :n + 1] != gamma_old[:, :n + 1]).any(axis=0)
-        changed = node[:-1] | node[1:] | (gh[:, :n] != gh_old[:, :n]).any(axis=0)
+    if stored and stored[0] == key:  # the first changed step, down to a block boundary
+        n = min(N, stored[2].shape[1])
+        node = (gamma[:, :n + 1] != stored[1][:, :n + 1]).any(axis=0)
+        changed = node[:-1] | node[1:] | (gh[:, :n] != stored[2][:, :n]).any(axis=0)
         K = (int(changed.argmax()) if changed.any() else n) // P * P
+
+    c = np.zeros((L, N + 1), dtype=float if real else complex)
+    hist = np.zeros((3, L, R + N + 1), dtype=c.dtype)  # b, bh, bm
+    b, bh, bm = hist
+    if K:  # resume at the last block boundary before the first changed step
+        c[:, :K + 1] = stored[3][:, :K + 1]
+        hist[:, :, :K + R + 1] = stored[4][:, :, :K + R + 1]
+    del stored
 
     # from here on, column j of the coefficients is grid step K + j
     g = gamma[:, K:]
@@ -177,16 +189,8 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     cpl = np.zeros((3, L, N - K + 1), dtype=complex if L == 1 and not real else float)
     cpl[0] = cpl[2] = lone(e_self, -sg)
     cpl[1, :, :-1] = lone(e_self, -np.sqrt(gh[:, K:]))
-    a, ah = (-0.5 * g).tolist(), (-0.5 * gh[:, K:]).tolist()
     forcing = operator.mul if real else _complex_forcing
-
-    c = np.zeros((L, N + 1), dtype=float if real else complex)
-    hist = np.zeros((3, L, R + N + 1), dtype=c.dtype)  # b, bh, bm
-    b, bh, bm = hist
-    if K:  # resume at the last block boundary before the first changed step
-        c[:, :K + 1] = c_last[:, :K + 1]
-        hist[:, :, :K + R + 1] = hist_last[:, :, :K + R + 1]
-    else:
+    if not K:
         c[:, 0] = c0
         b[:, R] = sg[:, 0] * c[:, 0]
     # window[q, l, i] = b[l, i + q], the four nodes of half node i + 1 (a view)
@@ -197,6 +201,7 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
 
     for k in range(K, N, P):
         n, j = min(P, N - k), k - K
+        a, ah = (-0.5 * g[:, j:j + n + 1]).tolist(), (-0.5 * gh[:, k:k + n]).tolist()
         # the echo piece [k - P, k] has closed: fill its half nodes, centred
         # cubics inside, and at either end the cubic through the end nodes
         p = k - P + R
@@ -226,13 +231,14 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
         for row, l, f, fh in zip(rows, emitters, fs, fhs):
             y0 = float(row[k])
             if y0 or any(f) or any(fh[:n]):
-                out = _rk4_steps(y0, a[l][j:j + n + 1], ah[l][j:j + n], f, fh, h)
+                out = _rk4_steps(y0, a[l], ah[l], f, fh, h)
                 row[k + 1:k + n + 1] = np.frombuffer(struct.pack(f"{n}d", *out))
         x = sg[:, j + 1:j + n + 1] * c[:, k + 1:k + n + 1]
         hist[::2, :, k + 1 + R:k + n + 1 + R] = x + by_phase(e_self, hist[::2, :, k + 1:k + n + 1])
 
+    del sg, cpl, window
     _check_norm(c[:, K:], (gamma, gh), h)  # a stored run passed it
-    _last[L] = (key, (gamma, gh), c, hist)
+    _last[L] = (key, gamma, gh, c, hist)
     return Trajectory(grid=grid, c=c.astype(complex), gamma_samples=gamma,
                       b_out=b[:, R:].astype(complex), echo_delay_steps=R, echo_phase=big_phi)
 

@@ -10,12 +10,15 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 
 OUTPUT_DIR_ENV = "SHORTLINK_OUTDIR"
 _CHUNK = 1024  # rows formatted and written at a time
+# csv.writer's default dialect quotes a field holding one of these
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 def fmt(x) -> str:
@@ -50,6 +53,8 @@ def write_csv(path, columns, rows, meta=None) -> Path:
     `str` takes one `%.12g`/`%s` template (a float64 ndarray is read as Python
     floats); any other goes through `fmt` value by value, since `%.12g` would
     print 10**12 as 1e+12, True as 1 and a float32 0.1 as 0.100000001490.
+    A `str` cell holding a comma, quote, CR or LF is quoted as `csv.writer`
+    quotes it; a column is searched once per chunk, as one joined text.
     The text replaces `path` only once every row is written, so a failure at
     any point leaves no new or altered file.
     """
@@ -81,11 +86,24 @@ def _chunk_text(chunk, width) -> str:
     if set(map(len, chunk)) != {width}:
         bad = next(n for n in map(len, chunk) if n != width)
         raise ValueError(f"row width {bad} != {width} columns")
-    kinds = [set(map(type, col)) for col in zip(*chunk)]
+    cols = list(zip(*chunk))
+    kinds = [set(map(type, col)) for col in cols]
+    # one search of the joined text of each column that holds str cells
+    quote = [i for i, k in enumerate(kinds)
+             if str in k and _NEEDS_QUOTES("".join(map(str, cols[i])))]
+    if quote:
+        for i in quote:
+            cols[i] = [_quoted(v) if type(v) is str else v for v in cols[i]]
+        chunk = list(zip(*cols))
     if all(k == {float} or k == {str} for k in kinds):
         line = ",".join("%.12g" if k == {float} else "%s" for k in kinds) + "\n"
         return "".join(map(line.__mod__, map(tuple, chunk)))  # no Python code per row
     return "".join(",".join([fmt(v) for v in row]) + "\n" for row in chunk)
+
+
+def _quoted(s: str) -> str:
+    """s as csv.writer's default dialect writes it."""
+    return '"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES(s) else s
 
 
 def write_json(path, obj) -> Path:

@@ -237,7 +237,8 @@ def loss_scan(gamma0_tau_grid, kappa_tau: float = 0.01,
     supplies the photon-number integral, and `loss_error` turns it into
     1 - exp(-kappa * integral n dt).  Returns per-protocol rows
     (T/tau, loss_error) plus a power-law fit of loss vs duration.  kappa,
-    every protocol name and every coupling are checked before the first run.
+    every protocol name, every coupling and the fit's need of 3 couplings
+    are checked before the first run.
     """
     loss_error(0.0, kappa_tau)
     for kind in protocols:
@@ -245,6 +246,8 @@ def loss_scan(gamma0_tau_grid, kappa_tau: float = 0.01,
     grid = [float(g) for g in gamma0_tau_grid]
     for g in grid:
         _check_coupling(g)
+    if len(grid) < 3:
+        raise ValueError(f"a loss scan's power-law fit needs at least 3 couplings, got {len(grid)}")
     out = {}
     for kind in protocols:
         rows = []

@@ -155,9 +155,11 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
         a = a + h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
         photon[i + 1] = sum_(np.abs(a) ** 2)
 
+    # a placeholder echo field; np.zeros, unlike np.zeros_like, leaves its
+    # pages untouched
     return WWTrajectory(
         grid=grid, c=c, gamma_samples=gamma,
-        b_out=np.zeros_like(c), echo_delay_steps=2 * grid.steps_per_tau,
+        b_out=np.zeros(c.shape, dtype=complex), echo_delay_steps=2 * grid.steps_per_tau,
         echo_phase=2.0 * link.phi, photon=photon, modes=modes,
     )
 

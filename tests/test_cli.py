@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import json
@@ -296,23 +297,29 @@ class TestScan:
                  if not l.startswith("#")]
         assert lines == [
             "protocol,gamma0_tau,T_opt_over_tau,infidelity,loss_error,note",
-            "swap,nan,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got nan",
-            "swap,-1,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got -1.0",
-            "stirap,nan,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got nan",
-            "stirap,-1,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got -1.0",
-            "czkm,nan,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got nan",
-            "czkm,-1,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got -1.0",
+            'swap,nan,nan,nan,0,"error: gamma0_tau grid must be finite and > 0, got nan"',
+            'swap,-1,nan,nan,0,"error: gamma0_tau grid must be finite and > 0, got -1.0"',
+            'stirap,nan,nan,nan,0,"error: gamma0_tau grid must be finite and > 0, got nan"',
+            'stirap,-1,nan,nan,0,"error: gamma0_tau grid must be finite and > 0, got -1.0"',
+            'czkm,nan,nan,nan,0,"error: gamma0_tau grid must be finite and > 0, got nan"',
+            'czkm,-1,nan,nan,0,"error: gamma0_tau grid must be finite and > 0, got -1.0"',
         ]
+        # the notes' commas are quoted: every row reads back as 6 fields
+        rows = list(csv.reader(lines))
+        assert [len(r) for r in rows] == [6] * 7
+        assert [r[5] for r in rows[1:]] == [
+            f"error: gamma0_tau grid must be finite and > 0, got {g}"
+            for _ in range(3) for g in ("nan", "-1.0")]
         assert run("scan", "--grid", "inf", "--protocols", "swap", "--out", "bad.csv") == 1
         assert (outdir / "bad.csv").read_text().splitlines()[-1] == (
-            "swap,inf,nan,nan,0,error: gamma0_tau grid must be finite and > 0, got inf")
+            'swap,inf,nan,nan,0,"error: gamma0_tau grid must be finite and > 0, got inf"')
 
     def test_ww_overlay_skips_failed_rows(self, outdir):
         assert run("scan", "--grid", "nan,0.2", "--protocols", "swap", "--ww",
                    "--n-modes", "41", "--out", "s.csv") == 1
         lines = (outdir / "s.csv").read_text().splitlines()
         assert lines[-2] == ("swap,nan,nan,nan,0,"
-                             "error: gamma0_tau grid must be finite and > 0, got nan")
+                             '"error: gamma0_tau grid must be finite and > 0, got nan"')
         assert lines[-1].startswith("swap,0.2,") and lines[-1].endswith(",")
         ww = json.loads((outdir / "s.csv.summary.json").read_text())["ww"]
         assert [(r["protocol"], r["gamma0_tau"]) for r in ww] == [("swap", 0.2)]

@@ -1,4 +1,6 @@
+import csv
 import math
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -16,11 +18,18 @@ def _reference_fmt(x) -> str:
     return str(x)
 
 
+def _reference_row(row) -> str:
+    """One fmt call per value, the fields joined and quoted by csv.writer's default dialect."""
+    buf = StringIO()
+    csv.writer(buf).writerow([_reference_fmt(v) for v in row])
+    return buf.getvalue()[:-2]  # without the dialect's CR LF
+
+
 def _reference_csv(columns, rows, meta):
-    """write_csv's text as first written: one fmt call per value."""
+    """write_csv's text: as first written, but with csv.writer's quoting."""
     lines = [f"# {k} = {_reference_fmt(v)}" for k, v in meta.items()]
     lines.append(",".join(columns))
-    lines += [",".join(_reference_fmt(v) for v in row) for row in rows]
+    lines += [_reference_row(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -125,3 +134,25 @@ def test_arrays_over_several_chunks_match_reference(tmp_path, monkeypatch, dtype
     rows = rows.astype(dtype)
     path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows, {})
     assert _lines(path) == _reference_csv(["a", "b", "c"], rows, {}).splitlines(keepends=True)
+
+
+def test_str_cells_read_back_through_csv_reader(tmp_path, monkeypatch):
+    # str cells that need quotes in one chunk only, on the template path
+    # (str and float columns) and on fmt's (an int cell); csv.reader must
+    # give back every row's fields, notes with commas, quotes, CR and LF
+    # intact, and a column whose text needs none stays unquoted
+    monkeypatch.delenv("SHORTLINK_OUTDIR", raising=False)
+    monkeypatch.setattr(io, "_CHUNK", 4)
+    notes = ["error: grid must be finite and > 0, got nan", 'said "no"', "two\nlines",
+             "cr\r", "crlf\r\n", "", "plain", "a,b\"c"]
+    rows = [("swap", 0.5 * i, note) for i, note in enumerate(notes)]
+    rows += [("stirap", i, note) for i, note in enumerate(reversed(notes))]
+    rows += [("czkm", 0.25, "fine")] * 4
+    columns = ["protocol", "x", "note"]
+    path = write_csv(tmp_path / "t.csv", columns, rows, {"tool": "shortlink"})
+    text = path.read_bytes().decode()
+    assert text == _reference_csv(columns, rows, {"tool": "shortlink"})
+    assert text.endswith('nan"\n' + "czkm,0.25,fine\n" * 4)
+    with open(path, newline="") as fh:
+        read = list(csv.reader(line for line in fh if not line.startswith("#")))
+    assert read == [columns] + [[p, _reference_fmt(x), note] for p, x, note in rows]

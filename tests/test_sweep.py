@@ -207,6 +207,23 @@ class TestScanProtocols:
         with pytest.raises(ValueError, match="^unknown protocol 'teleport'$"):
             loss_scan([0.1], protocols=("czkm", "teleport"))
 
+    def test_loss_scan_needs_three_couplings_before_any_run(self, monkeypatch):
+        # the power-law fit needs 3 points: fewer couplings fail before the
+        # first transfer, after the kappa, name and coupling checks
+        runs = []
+        monkeypatch.setattr("shortlink.sweep.transfer", lambda *a: runs.append(a))
+        for grid in ([], [0.2], [0.2, 0.5]):
+            with pytest.raises(ValueError, match=rf"^a loss scan's power-law fit needs "
+                                                 rf"at least 3 couplings, got {len(grid)}$"):
+                loss_scan(grid, protocols=("czkm",))
+        with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
+            loss_scan([0.2], kappa_tau=-1.0)
+        with pytest.raises(ValueError, match="^unknown protocol 'teleport'$"):
+            loss_scan([0.2], protocols=("teleport",))
+        with pytest.raises(ValueError, match=f"^{BAD_COUPLING} nan$"):
+            loss_scan([0.2, math.nan])
+        assert runs == []
+
 
 @pytest.mark.parametrize("kind,g,Ts", [
     ("swap", 0.2, (5.0, 7.123, 9.9)),

@@ -62,6 +62,8 @@ COMMANDS = [
     ["simulate", "--gamma-tau", "0.1", "--ww", "--delta-fsr", "50.3"],
     ["simulate", "--gamma-tau", "3000", "--t-end", "3", "--delta-fsr", "0"],
     ["simulate", "--gamma-tau", "0.1", "--t-end", "1e-12"],
+    # 40 000 steps, 200 blocks of per-block coefficient lists
+    *[["simulate", "--gamma-tau", "0.1", "--emitters", em, "--t-end", "200"] for em in ("2", "1")],
     # the kernel's smallest blocks: P = 4 or 5 steps, runs ending mid-block
     *[["simulate", "--gamma-tau", "1.3", "--emitters", em, "--delta-fsr", d, "--t-end", "6.1",
        "--steps-per-tau", s] for em in ("1", "2") for d in ("50", "50.3") for s in ("4", "5")],
