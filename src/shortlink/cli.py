@@ -49,7 +49,7 @@ def cmd_simulate(args) -> int:
     if args.ww:
         modes = build_modes(link, args.n_modes)
         M = steps_for_modes(link, modes, args.steps_per_tau)
-        wgrid = make_grid(1.0, args.t_end, M)
+        wgrid = make_grid(1.0, grid.t_end, M)  # ends on the DDE grid's last node
         wpulse = constant_pulse(args.gamma_tau, (0.0, wgrid.t_end))
         ww = evolve_ww(link, modes, (wpulse, wpulse) if args.emitters == 2
                        else (wpulse, constant_pulse(0.0, (0.0, wgrid.t_end))),

@@ -26,6 +26,7 @@ import numpy as np
 from .core import NON_FINITE, LinkParams, TimeGrid, Trajectory, eval_pulse, make_grid
 
 _MAX_PHASE_STEP = 0.5
+_BLOCK = 16  # steps whose phase rows and photon sums are made together
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,10 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     pulses: (pulse1, pulse2), whose samples must be finite; c0: initial
     (c1, c2).  The mode loop is vectorized with a fixed summation order, so
     results are reproducible bit-for-bit.
+
+    Steps go in blocks of _BLOCK, each making its phase rows in one exp
+    call.  A step's start phases are those of the last step's end where
+    i h equals t + h, as in a step-at-a-time loop, whose results it keeps.
     """
     if len(pulses) != 2:
         raise ValueError("evolve_ww needs exactly two pulses")
@@ -105,9 +110,8 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     t_nodes = grid.times()
     gamma = np.array([eval_pulse(p, t_nodes) for p in pulses], dtype=float)
     scale = 1.0 / math.sqrt(2.0 * link.tau)
-    g_n = (scale * np.sqrt(gamma)).T  # (g1, g2) at each node
     g_h = (scale * np.sqrt([eval_pulse(p, t_nodes[:-1] + 0.5 * h) for p in pulses])).T
-    if not (np.isfinite(g_n).all() and np.isfinite(g_h).all()):
+    if not (np.isfinite(scale * np.sqrt(gamma)).all() and np.isfinite(g_h).all()):
         raise ValueError(NON_FINITE)
     s = modes.parity
     odd = (s < 0).astype(np.intp)
@@ -118,11 +122,11 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     c[:, 0] = c01, c02
     a = np.zeros(modes.n_modes, dtype=complex)  # mode amplitudes alpha_k
     photon[0] = sum_(np.abs(a) ** 2)
-
-    def phases(t):
-        # rows (ph, s ph) with ph = e^{-i nu t}, and back = -i e^{+i nu t}
-        ph = np.exp(i_nu * t)
-        return np.array((ph, s * ph)), -1j * np.conj(ph)
+    # per block: alpha after each step, and per phase time t a row (ph, s ph,
+    # back), ph = e^{-i nu t}, back = -i e^{+i nu t}; row 0: the last block's end
+    alphas = np.empty((min(N, _BLOCK), modes.n_modes), dtype=complex)
+    phase = np.empty((3 * len(alphas) + 1, 3, modes.n_modes), dtype=complex)
+    rows = list(zip(phase[:, :2], phase[:, 2]))
 
     def rhs(rows, back, a, x1, x2, g1, g2):
         # returns (dc1, dc2, dalpha).  Since s = +-1, (s ph) a = s (ph a)
@@ -137,23 +141,37 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     # the emitter amplitudes stay Python complex: numpy scalar arithmetic
     # rounds the same but dispatches on every operation
     x1, x2 = c01, c02
-    for i in range(N):
-        t0 = t_nodes[i]
-        # a step starts where the last ended unless i h rounds differently
-        ph0 = ph1 if i and t0 == t_nodes[i - 1] + h else phases(t0)
-        phh = phases(t0 + hh)
-        ph1 = phases(t0 + h)
-        ga, gh, gb = g_n[i].tolist(), g_h[i].tolist(), g_n[i + 1].tolist()
-
-        k1 = rhs(*ph0, a, x1, x2, *ga)
-        k2 = rhs(*phh, a + hh * k1[2], x1 + hh * k1[0], x2 + hh * k1[1], *gh)
-        k3 = rhs(*phh, a + hh * k2[2], x1 + hh * k2[0], x2 + hh * k2[1], *gh)
-        k4 = rhs(*ph1, a + h * k3[2], x1 + h * k3[0], x2 + h * k3[1], *gb)
-        x1 = x1 + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-        x2 = x2 + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-        c[:, i + 1] = x1, x2
-        a = a + h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2])
-        photon[i + 1] = sum_(np.abs(a) ** 2)
+    end = math.nan
+    for i0 in range(0, N, _BLOCK):
+        i1 = min(i0 + _BLOCK, N)
+        # distinct phase times in step order: a start unless it equals the
+        # last step's end, a midpoint and an end; first[j]: step j's start row
+        times, first = [end], []
+        for t in t_nodes[i0:i1].tolist():
+            if t != end:
+                times.append(t)
+            first.append(len(times) - 1)
+            end = t + h
+            times += (t + hh, end)
+        R = len(times)
+        ph = phase[1:R, 0]
+        np.exp(np.multiply.outer(np.array(times[1:], dtype=complex), i_nu, out=ph), out=ph)
+        np.multiply(ph, s, out=phase[1:R, 1])
+        np.multiply(np.conj(ph, out=phase[1:R, 2]), -1j, out=phase[1:R, 2])
+        gn = (scale * np.sqrt(gamma[:, i0:i1 + 1])).T.tolist()  # (g1, g2) at each node
+        gm = g_h[i0:i1].tolist()
+        for j, r in enumerate(first):
+            ph0, phh, ph1 = rows[r:r + 3]
+            k1 = rhs(*ph0, a, x1, x2, *gn[j])
+            k2 = rhs(*phh, a + hh * k1[2], x1 + hh * k1[0], x2 + hh * k1[1], *gm[j])
+            k3 = rhs(*phh, a + hh * k2[2], x1 + hh * k2[0], x2 + hh * k2[1], *gm[j])
+            k4 = rhs(*ph1, a + h * k3[2], x1 + h * k3[0], x2 + h * k3[1], *gn[j + 1])
+            x1 = x1 + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+            x2 = x2 + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+            c[:, i0 + j + 1] = x1, x2
+            a = np.add(a, h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]), out=alphas[j])
+        photon[i0 + 1:i1 + 1] = sum_(np.abs(alphas[:i1 - i0]) ** 2, 1)
+        phase[0] = phase[R - 1]
 
     # a placeholder echo field; np.zeros, unlike np.zeros_like, leaves its
     # pages untouched

@@ -76,6 +76,17 @@ class TestSimulate:
         dev = max(abs(r[i] - r[j]) for r in rows)
         assert dev < 2e-2
 
+    def test_ww_overlay_off_the_base_grid(self, outdir):
+        # t_end = 0.0501 rounds up to the base grid's 0.055; the oracle's
+        # 12-fold finer grid ends there too, not at its own node 0.050417,
+        # which once left it one row short of the delay model's 12
+        for t_end in ("0.0501", "0.055"):
+            assert run("simulate", "--gamma-tau", "0.1", "--ww", "--t-end", t_end,
+                       "--out", f"{t_end}.csv") == 0
+        _, cols, rows = read_csv(outdir / "0.0501.csv")
+        assert len(rows) == 12 and rows[-1][0] == 0.055 and "ww_pop1" in cols
+        assert (outdir / "0.0501.csv").read_bytes() == (outdir / "0.055.csv").read_bytes()
+
     def test_invalid_parameters_exit_1(self, outdir, capsys):
         assert run("simulate", "--gamma-tau", "-1", "--out", "x.csv") == 1
         assert "error:" in capsys.readouterr().err

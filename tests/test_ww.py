@@ -6,7 +6,7 @@ import pytest
 from shortlink.core import (constant_pulse, eval_pulse, make_grid, make_link, sampled_pulse,
                             sin2_pulse)
 from shortlink.dde import evolve_pair, evolve_single
-from shortlink.ww import build_modes, evolve_ww, steps_for_modes, unitarity_defect
+from shortlink.ww import _BLOCK, build_modes, evolve_ww, steps_for_modes, unitarity_defect
 
 
 class TestBuildModes:
@@ -170,20 +170,55 @@ def _single(g, T):
     return constant_pulse(g, (0.0, T)), constant_pulse(0.0, (0.0, T))
 
 
+def _off_end_block_start(steps):
+    """A step count at `steps` per tau whose last block opens with a step that
+    starts off the previous step's end t + h (its start phases are made
+    anew), after a block whose first step starts on it (carried over)."""
+    t, h = make_grid(1.0, 10.0, steps).times(), 1.0 / steps
+    on_end = [bool(t[i] == t[i - 1] + h) for i in range(_BLOCK, t.size - 1, _BLOCK)]
+    k = next(k for k in range(1, len(on_end)) if on_end[k - 1] and not on_end[k])
+    return (k + 1) * _BLOCK + 2
+
+
 # ramps that start at gamma = 0, a complex and a signed-zero start, off-resonant
-# Delta, a ladder clamped at the first mode, and one emitter
-@pytest.mark.parametrize("pulses, c0, delta_fsr, n_modes, steps", [
-    (_stirap(0.5, 3.0), (1.0, 0.0), 50.0, 41, 160),
-    (_stirap(0.5, 3.0), (0.6, 0.8j), 50.0, 41, 160),
-    (_stirap(1.0, 2.5), (-0.0, complex(-0.0, -0.0)), 50.3, 61, 200),
-    (_stirap(0.3, 2.5), (0.3 - 0.4j, -0.5 + 0.1j), 20.0, 41, 200),
-    (_single(0.3, 3.0), (1.0, 0.0), 50.3, 41, 160),
+# Delta, a ladder clamped at the first mode, and one emitter; then runs of
+# fewer, as many and one more steps than a block, of several blocks, a 1-mode
+# ladder, and a block whose first step's start phases are made anew
+@pytest.mark.parametrize("pulses, c0, delta_fsr, n_modes, steps, n_steps", [
+    pytest.param(_stirap(0.5, 3.0), (1.0, 0.0), 50.0, 41, 160, 480,
+                 id="pulses0-c00-50.0-41-160"),
+    pytest.param(_stirap(0.5, 3.0), (0.6, 0.8j), 50.0, 41, 160, 480,
+                 id="pulses1-c01-50.0-41-160"),
+    pytest.param(_stirap(1.0, 2.5), (-0.0, complex(-0.0, -0.0)), 50.3, 61, 200, 600,
+                 id="pulses2-c02-50.3-61-200"),
+    pytest.param(_stirap(0.3, 2.5), (0.3 - 0.4j, -0.5 + 0.1j), 20.0, 41, 200, 600,
+                 id="pulses3-c03-20.0-41-200"),
+    pytest.param(_single(0.3, 3.0), (1.0, 0.0), 50.3, 41, 160, 480,
+                 id="pulses4-c04-50.3-41-160"),
+    *[pytest.param(_single(0.5, 3.0), (0.6, 0.8j), 50.0, 41, 160, n, id=f"{n}-steps")
+      for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK + 3)],
+    pytest.param(_stirap(0.5, 3.0), (0.6, 0.8j), 50.0, 1, 160, 480, id="1-mode"),
+    pytest.param(_single(0.5, 3.0), (0.3 - 0.4j, -0.5 + 0.1j), 50.3, 41, 200,
+                 _off_end_block_start(200), id="block-start-off-the-last-end"),
 ])
-def test_matches_reference_route_bit_for_bit(pulses, c0, delta_fsr, n_modes, steps):
+def test_matches_reference_route_bit_for_bit(pulses, c0, delta_fsr, n_modes, steps, n_steps):
     link = make_link(0.5, 1.0, delta_fsr * math.pi)
     modes = build_modes(link, n_modes)
-    grid = make_grid(1.0, 3.0, steps)
+    grid = make_grid(1.0, n_steps / steps, steps)
+    assert grid.n_steps == n_steps
     traj = evolve_ww(link, modes, pulses, c0, grid)
     c, photon = _reference_ww(link, modes, pulses, c0, grid)
     assert np.array_equal(traj.c.view(np.uint64), c.view(np.uint64))
     assert np.array_equal(traj.photon.view(np.uint64), photon.view(np.uint64))
+
+
+def test_runs_share_no_memory():
+    # each run's c and photon are its own arrays, not views of a block buffer
+    a, b = (_run_pair(0.5, 50 * math.pi, 41, 1.0, steps=160)[0] for _ in range(2))
+    kept = a.c.copy(), a.photon.copy()
+    for x in (a.c, a.photon, b.c, b.photon):
+        assert x.base is None
+    assert not any(np.shares_memory(x, y) for x in (a.c, a.photon) for y in (b.c, b.photon))
+    for x, y in zip(kept, (a.c, a.photon)):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    assert np.array_equal(b.c.view(np.uint64), a.c.view(np.uint64))

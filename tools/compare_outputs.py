@@ -2,26 +2,29 @@
 
     python3 tools/compare_outputs.py PARENT CHANGE
 
-PARENT and CHANGE are checkout roots (each with `src/shortlink` and
-`perfbench/`).  For each checkout it runs every command in COMMANDS and
-one pass of each benchmark workload at seeds 0 and 3, driven through that
-checkout's `perfbench/workloads.py` (imported, never written).  Each run
-is a fresh interpreter with the checkout's `src` first on PYTHONPATH and
-its own empty SHORTLINK_OUTDIR, which is also its working directory.
+PARENT and CHANGE are checkout roots (each with `src/shortlink`,
+`perfbench/` and `demos/`).  For each checkout it runs every command in
+COMMANDS, every script in DEMOS, and one pass of each benchmark workload
+at seeds 0 and 3, driven through that checkout's `perfbench/workloads.py`
+(imported, never written).  Each run is a fresh interpreter with the
+checkout's `src` first on PYTHONPATH and its own empty SHORTLINK_OUTDIR,
+which is also its working directory.
 
 It prints every written file, exit code, stdout or stderr that differs
-(checkout paths in stdout and stderr read `<checkout>`) and exits 1 on
-any difference.  A difference in a `--ww` command is labelled
+(in stdout and stderr the run's output directory reads `<outdir>`, a
+checkout path `<checkout>` and a time a demo prints `<time> s`) and exits
+1 on any difference.  A difference in a `--ww` command is labelled
 host-dependent: the mode-resolved oracle's last printed digit may differ
 between hosts, though not between runs on one host (README, "Known
 limitation").  Runs go one at a time; the two checkouts take about two
-minutes each on a 2-core host.
+minutes together on a 2-core host.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -60,6 +63,11 @@ COMMANDS = [
      "--broadening", "-inf"],
     ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww"],
     ["simulate", "--gamma-tau", "0.1", "--ww", "--delta-fsr", "50.3"],
+    # a 1-mode ladder; a run ending mid-block (4 812 oracle steps); a t_end
+    # off the base grid, whose oracle grid must end on the base grid's node
+    ["simulate", "--gamma-tau", "0.1", "--ww", "--n-modes", "1"],
+    ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww", "--t-end", "2.005"],
+    ["simulate", "--gamma-tau", "0.1", "--ww", "--t-end", "0.0501"],
     ["simulate", "--gamma-tau", "3000", "--t-end", "3", "--delta-fsr", "0"],
     ["simulate", "--gamma-tau", "0.1", "--t-end", "1e-12"],
     # 40 000 steps, 200 blocks of per-block coefficient lists
@@ -84,8 +92,11 @@ COMMANDS = [
     ["protocol", "swap", "--gamma-tau", "0.2", "--t", "3", "--kappa-tau", "0.5"],
     ["protocol", "swap", "--gamma-tau", "0.2", "--t", "1e-12"],
 ]
+DEMOS = ["echo_dynamics.py", "loss_comparison.py", "oracle_crosscheck.py",
+         "protocol_benchmark.py", "spectroscopy.py", "wavepacket_shaping.py"]
 WORKLOADS = ["scan-default", "oracle-overlay", "crosscheck"]
 SEEDS = [0, 3]
+TIMING = re.compile(r"\b\d+\.\d+ s\b")  # a demo's printed wall time, e.g. "2.99 s"
 
 RUN_CLI = "import sys; from shortlink import cli; sys.exit(cli.main(sys.argv[1:]))"
 # one pass of a workload; its return value (exit code and, for crosscheck,
@@ -95,26 +106,32 @@ RUN_WORKLOAD = ("import sys, workloads; "
 
 
 def jobs():
-    """(label, interpreter arguments, uses the perfbench directory) per run."""
-    out = [(" ".join(argv), ["-c", RUN_CLI, *argv], False) for argv in COMMANDS]
-    out += [(f"workload {w} --seed {s}", ["-c", RUN_WORKLOAD, w, str(s)], True)
+    """(label, interpreter arguments, kind: "cli", "demo" or "workload") per run;
+    `<checkout>` in an argument stands for the checkout root."""
+    out = [(" ".join(argv), ["-c", RUN_CLI, *argv], "cli") for argv in COMMANDS]
+    out += [(f"demo {d}", [f"<checkout>/demos/{d}"], "demo") for d in DEMOS]
+    out += [(f"workload {w} --seed {s}", ["-c", RUN_WORKLOAD, w, str(s)], "workload")
             for s in SEEDS for w in WORKLOADS]
     return out
 
 
-def run(checkout: Path, args, perfbench: bool, outdir: Path):
+def run(checkout: Path, args, kind: str, outdir: Path):
     """(exit code, stdout, stderr, {file name: bytes}) of one run in a fresh process."""
     outdir.mkdir(parents=True)
     env = dict(os.environ, SHORTLINK_OUTDIR=str(outdir))
-    paths = [str(checkout / "src")] + ([str(checkout / "perfbench")] if perfbench else [])
+    paths = [str(checkout / "src")] + ([str(checkout / "perfbench")] if kind == "workload" else [])
     if env.get("PYTHONPATH"):
         paths.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(paths)
+    args = [a.replace("<checkout>", str(checkout)) for a in args]
     proc = subprocess.run([sys.executable, *args], cwd=outdir, env=env,
                           capture_output=True, text=True, timeout=900)
     files = {str(f.relative_to(outdir)): f.read_bytes()
              for f in sorted(outdir.rglob("*")) if f.is_file()}
-    clean = lambda s: s.replace(str(checkout), "<checkout>")  # noqa: E731
+
+    def clean(text):
+        text = text.replace(str(outdir), "<outdir>").replace(str(checkout), "<checkout>")
+        return TIMING.sub("<time> s", text) if kind == "demo" else text
     return proc.returncode, clean(proc.stdout), clean(proc.stderr), files
 
 
@@ -155,8 +172,8 @@ def main(argv=None) -> int:
 
     n_diff = 0
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
-        for i, (label, run_args, perfbench) in enumerate(jobs()):
-            results = [run(root, run_args, perfbench, Path(tmp) / side / str(i))
+        for i, (label, run_args, kind) in enumerate(jobs()):
+            results = [run(root, run_args, kind, Path(tmp) / side / str(i))
                        for root, side in zip(roots, ("parent", "change"))]
             lines = differences(*results)
             tag = " (host-dependent: --ww)" if "--ww" in run_args else ""
