@@ -243,19 +243,17 @@ def make_grid(tau: float, t_end: float, steps_per_tau: int = 200) -> TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Complex emitter amplitudes on a grid plus sampled couplings.
+    """Emitter amplitudes on a grid plus sampled couplings.
 
-    c has shape (n_emitters, n_steps+1).  b_out[l, i] is the echo field of
-    emitter l at step i, kept by the integrator recursion, with
-    echo_delay_steps/echo_phase recording the self-echo convention used.
+    c has shape (n_emitters, n_steps+1); echo_delay_steps is the self-echo
+    delay in steps.  From the method of steps, c (float in a real problem)
+    and gamma_samples are read-only: its stored run.
     """
 
     grid: TimeGrid
     c: np.ndarray
     gamma_samples: np.ndarray
-    b_out: np.ndarray
     echo_delay_steps: int
-    echo_phase: float
 
     @property
     def t(self) -> np.ndarray:

@@ -22,10 +22,9 @@ of c are whole-array operations; those stages stay a Python loop, rounded
 exactly as a step-at-a-time integrator rounds them (real parts alone in a
 real problem); around it a block makes a fixed handful of numpy calls.  A
 run resumes at the last block it shares with the last run of as many
-emitters, and sets up its coefficients from there on only.  The numpy
-arrays are O(N) in the run's N steps; Python floats are held for one block
-only, and the one stored run per emitter count is released as soon as the
-next run has copied its prefix.
+emitters.  Only the samples, c and the echo history, the one stored run
+per emitter count, are O(N) in the run's N steps; couplings are made _SPAN
+steps and Python floats a block at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ _W0, _W1, _W2 = [_lagrange_weights(x).tolist() for x in (0.5, 1.5, 2.5)]
 _MID_W = np.array(_W1).reshape(4, 1, 1)
 
 _NORM_SLACK = 1e-9
+_SPAN = 1024  # columns of couplings, and of norm-check terms, made at a time
 
 # per emitter count, the last run's (key, gamma, gh, c, hist); never
 # written once stored, and taken out by the run that reads it
@@ -78,7 +78,8 @@ def _unit(z, x):
 
 def _check_norm(c: np.ndarray, samples, h: float) -> None:
     """Fail a run whose norm left [0, 1]: blame non-finite couplings, else the grid."""
-    excess = float((np.abs(c) ** 2).sum(axis=0).max()) - 1.0
+    excess = float(np.max([(np.abs(c[:, i:i + _SPAN]) ** 2).sum(axis=0).max()
+                           for i in range(0, c.shape[1], _SPAN)])) - 1.0  # np.max keeps a NaN
     if excess <= _NORM_SLACK:
         return
     if not all(np.isfinite(s).all() for s in samples):
@@ -123,11 +124,11 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     e^{i big_phi/2}.  Kinks sit every P steps, P the shortest delay (M for
     a pair, R alone), so a P-step block hears one smooth piece of echo, all
     emitted before the block.  The history is padded with R zeros for t < 0
-    and kept three ways: b (right limits, returned as b_out), bh (half
-    nodes) and bm (left limits, 0 at t = 0-); b and bm differ only on
-    multiples of R, where the turn-on jump replays, so a piece's top node
-    and a block's end read bm and every other node reads b.  A lone
-    emitter's phase rides on its coupling, (-sqrt(gamma) e^{i Phi}) b.
+    and kept three ways: b (right limits), bh (half nodes) and bm (left
+    limits, 0 at t = 0-); b and bm differ only on multiples of R, where the
+    turn-on jump replays, so a piece's top node and a block's end read bm
+    and every other node reads b.  A lone emitter's phase rides on its
+    coupling, (-sqrt(gamma) e^{i Phi}) b.
 
     Per block, a sliding four-node window of b gives the centred half nodes
     but the last, whose cubic reaches the top node; Python sums that one and
@@ -146,9 +147,9 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     per L) copies c and the history up to K, the last block boundary
     before the first step whose samples changed, and resumes there;
     nothing before K reads anything else.  Only the pulse samples cover
-    the whole grid: square roots and couplings start at K, and a block's
-    coefficient lists at the block.  A run takes the stored run out of the
-    store and drops it once its prefix is copied.
+    the whole grid: square roots and couplings start at K, _SPAN columns
+    at a time, and coefficient lists at the block.  A run takes the stored
+    run out of the store and drops it once its prefix is copied.
     """
     L = len(pulses)
     h, N, M = grid.h, grid.n_steps, grid.steps_per_tau
@@ -180,19 +181,18 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     if K:  # resume at the last block boundary before the first changed step
         c[:, :K + 1] = stored[3][:, :K + 1]
         hist[:, :, :K + R + 1] = stored[4][:, :, :K + R + 1]
-    del stored
+    del stored, t
 
-    # from here on, column j of the coefficients is grid step K + j
-    g = gamma[:, K:]
-    sg = np.sqrt(g)
+    # square roots of the node samples, and the couplings, their negatives,
+    # at nodes, half nodes and nodes again (for left limits), a span at a time
+    span = max(1, _SPAN // P) * P
+    roots = np.zeros((4, L, min(span, N - K) + 1))
+    cpl, sg = roots[:3], roots[3]
     lone = _unit if L == 2 else operator.mul  # a lone emitter's phase rides on its coupling
-    cpl = np.zeros((3, L, N - K + 1), dtype=complex if L == 1 and not real else float)
-    cpl[0] = cpl[2] = lone(e_self, -sg)
-    cpl[1, :, :-1] = lone(e_self, -np.sqrt(gh[:, K:]))
     forcing = operator.mul if real else _complex_forcing
     if not K:
         c[:, 0] = c0
-        b[:, R] = sg[:, 0] * c[:, 0]
+        b[:, R] = np.sqrt(gamma[:, 0]) * c[:, 0]
     # window[q, l, i] = b[l, i + q], the four nodes of half node i + 1 (a view)
     window = np.ndarray((4, L, R + N - 2), b.dtype, hist, 0, (b.strides[1], *b.strides))
     # the RK4 loop steps rows of c: each emitter's, or their real parts and
@@ -200,8 +200,14 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     rows, emitters = (list(c), range(L)) if real else ([*c.real, *c.imag], [*range(L)] * 2)
 
     for k in range(K, N, P):
-        n, j = min(P, N - k), k - K
-        a, ah = (-0.5 * g[:, j:j + n + 1]).tolist(), (-0.5 * gh[:, k:k + n]).tolist()
+        n, j = min(P, N - k), (k - K) % span
+        a, ah = (-0.5 * gamma[:, k:k + n + 1]).tolist(), (-0.5 * gh[:, k:k + n]).tolist()
+        if not j:  # the next span; its last half node is unused
+            m = min(span, N - k)
+            np.sqrt(gamma[:, k:k + m + 1], out=sg[:, :m + 1])
+            np.negative(sg, out=cpl[::2])
+            np.sqrt(gh[:, k:k + m], out=cpl[1, :, :m])
+            np.negative(cpl[1], out=cpl[1])
         # the echo piece [k - P, k] has closed: fill its half nodes, centred
         # cubics inside, and at either end the cubic through the end nodes
         p = k - P + R
@@ -221,13 +227,13 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
         E = hist[..., k:k + n + 1]
         if L == 2:
             E = by_phase(e_self, E) + by_phase(e_cross, hist[:, ::-1, k + cross:k + cross + n + 1])
-        F = forcing(cpl[..., j:j + n + 1], E)
+        F = forcing(lone(e_self, cpl[..., j:j + n + 1]), E)
         F[0, :, n] = F[2, :, n]
         fs, fhs = F[:2].tolist()
         # Real coefficients step the real and imaginary parts apart, as
         # Python's complex a * y does but for signed zeros (0 * y.imag) that
         # matter only to a part at -0, which c0 rules out; a part at +0 with
-        # no forcing stays at +0.  fh's last value is the next block's.
+        # no forcing stays at +0.  fh's last value is unused.
         for row, l, f, fh in zip(rows, emitters, fs, fhs):
             y0 = float(row[k])
             if y0 or any(f) or any(fh[:n]):
@@ -236,11 +242,10 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
         x = sg[:, j + 1:j + n + 1] * c[:, k + 1:k + n + 1]
         hist[::2, :, k + 1 + R:k + n + 1 + R] = x + by_phase(e_self, hist[::2, :, k + 1:k + n + 1])
 
-    del sg, cpl, window
     _check_norm(c[:, K:], (gamma, gh), h)  # a stored run passed it
+    c.flags.writeable = gamma.flags.writeable = False  # shared with the stored run
     _last[L] = (key, gamma, gh, c, hist)
-    return Trajectory(grid=grid, c=c.astype(complex), gamma_samples=gamma,
-                      b_out=b[:, R:].astype(complex), echo_delay_steps=R, echo_phase=big_phi)
+    return Trajectory(grid=grid, c=c, gamma_samples=gamma, echo_delay_steps=R)
 
 
 def evolve_pair(link: LinkParams, pulse1: PulseProfile, pulse2: PulseProfile,

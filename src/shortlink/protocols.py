@@ -141,8 +141,9 @@ def dark_bright(traj: Trajectory, pulses, link: LinkParams) -> DarkBrightState:
     if N <= M:
         raise ValueError("trajectory shorter than one traversal time")
     t = traj.t[: N - M + 1]
-    c1 = traj.c[0, : N - M + 1]
-    c2s = traj.c[1, M:]
+    # complex: numpy divides a complex array by a real scalar otherwise than a real one
+    c1 = np.asarray(traj.c[0, : N - M + 1], dtype=complex)
+    c2s = np.asarray(traj.c[1, M:], dtype=complex)
     pulse1, pulse2 = pulses
     g1 = np.sqrt(np.asarray(eval_pulse(pulse1, t), dtype=float))
     g2s = np.sqrt(np.asarray(eval_pulse(pulse2, t + link.tau), dtype=float))

@@ -75,7 +75,7 @@ def steps_for_modes(link: LinkParams, modes: ModeSet, base: int) -> int:
 
 @dataclass
 class WWTrajectory(Trajectory):
-    """Trajectory plus the link-photon record of the mode-resolved run."""
+    """Trajectory plus the mode-resolved run's link-photon record; its c is complex and writable."""
 
     photon: np.ndarray = field(default_factory=lambda: np.empty(0))
     modes: ModeSet | None = None
@@ -173,13 +173,8 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
         photon[i0 + 1:i1 + 1] = sum_(np.abs(alphas[:i1 - i0]) ** 2, 1)
         phase[0] = phase[R - 1]
 
-    # a placeholder echo field; np.zeros, unlike np.zeros_like, leaves its
-    # pages untouched
-    return WWTrajectory(
-        grid=grid, c=c, gamma_samples=gamma,
-        b_out=np.zeros(c.shape, dtype=complex), echo_delay_steps=2 * grid.steps_per_tau,
-        echo_phase=2.0 * link.phi, photon=photon, modes=modes,
-    )
+    return WWTrajectory(grid=grid, c=c, gamma_samples=gamma,
+                        echo_delay_steps=2 * grid.steps_per_tau, photon=photon, modes=modes)
 
 
 def unitarity_defect(traj: WWTrajectory) -> float:

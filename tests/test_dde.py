@@ -87,8 +87,21 @@ def stepwise(pulses, c0, grid, R, big_phi):
 
 
 def assert_same_bits(x, y):
-    """Equal bit for bit, signed zeros included."""
+    """Equal bit for bit, signed zeros included; a real array reads as complex with +0 imaginary parts."""
+    if x.dtype != y.dtype:
+        x, y = x.astype(complex), y.astype(complex)
     np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def echo(traj):
+    """The echo field b[l, i] of the run just made: its stored history's right limits from t = 0."""
+    return dde._last[traj.c.shape[0]][4][0][:, traj.echo_delay_steps:]
+
+
+def ran(run):
+    """run()'s Trajectory and echo field."""
+    traj = run()
+    return traj, echo(traj)
 
 
 class TestBlockKernel:
@@ -103,14 +116,14 @@ class TestBlockKernel:
             pair = evolve_pair(link, p1, p2, c0, grid)
             c, b = stepwise((p1, p2), [complex(z) + 0.0 for z in c0], grid, 100, 2.0 * link.phi)
             assert_same_bits(pair.c, c)
-            assert_same_bits(pair.b_out, b)
+            assert_same_bits(echo(pair), b)
         grid = make_grid(1.0, 4.1, 20)
         for round_trip in [(1.0, 2.3), (2.0, 0.0)]:
             single = evolve_single(make_link(0.8, 1.0, 0.0), p1, 0.6 + 0.8j, grid,
                                    round_trip=round_trip)
             c, b = stepwise((p1,), (0.6 + 0.8j,), grid, int(20 * round_trip[0]), round_trip[1])
             assert_same_bits(single.c, c)
-            assert_same_bits(single.b_out, b)
+            assert_same_bits(echo(single), b)
 
     @pytest.mark.parametrize("steps", [4, 5])
     def test_smallest_blocks_match_stepwise_reference(self, steps):
@@ -125,13 +138,13 @@ class TestBlockKernel:
                 pair = evolve_pair(make_link(0.8, 1.0, phi), p1, p2, c0, grid)
                 c, b = stepwise((p1, p2), [complex(z) for z in c0], grid, 2 * steps, 2.0 * phi)
                 assert_same_bits(pair.c, c)
-                assert_same_bits(pair.b_out, b)
+                assert_same_bits(echo(pair), b)
                 dde._last.clear()
                 single = evolve_single(make_link(0.8, 1.0, 0.0), p1, c0[0], grid,
                                        round_trip=(1.0, 2.0 * phi))
                 c, b = stepwise((p1,), (complex(c0[0]),), grid, steps, 2.0 * phi)
                 assert_same_bits(single.c, c)
-                assert_same_bits(single.b_out, b)
+                assert_same_bits(echo(single), b)
 
 
 # (phi, c0): real route at phase 1, complex routes at phase 1 and not
@@ -179,13 +192,14 @@ class TestResume:
         runs += [run(0.5, T, c0=(0.6, 0.8j)) for T in (2.2, 3.1, 2.9)]
         runs += [run(0.8, T, phi=1.9, c0=(0.6j, 0.0), lone=True, steps=20) for T in (3.0, 4.0)]
         rk4_steps[0] = 0
-        warm = [r() for r in runs]
+        warm = [ran(r) for r in runs]
         warm_steps, rk4_steps[0] = rk4_steps[0], 0
-        for r, w in zip(runs, warm):
-            c = cold(r)
-            for x, y in ((w.c, c.c), (w.b_out, c.b_out), (w.gamma_samples, c.gamma_samples)):
-                assert x.dtype == y.dtype and x.flags.owndata
+        for r, (w, wb) in zip(runs, warm):
+            c, cb = cold(lambda: ran(r))
+            for x, y in ((w.c, c.c), (wb, cb), (w.gamma_samples, c.gamma_samples)):
+                assert x.dtype == y.dtype
                 assert_same_bits(x, y)
+            assert w.c.flags.owndata and w.gamma_samples.flags.owndata
         assert warm_steps < 0.7 * rk4_steps[0]  # 0.64 measured
 
     @pytest.mark.parametrize("steps", [4, 5])
@@ -211,16 +225,16 @@ class TestResume:
                 calls = list(runs(shape, phi, c0))
                 dde._last.clear()
                 rk4_steps[0] = 0
-                warm = [run() for run, _ in calls]
+                warm = [ran(run) for run, _ in calls]
                 warm_steps, rk4_steps[0] = rk4_steps[0], 0
-                for w, (run, ref) in zip(warm, calls):
-                    c = cold(run)
-                    for x, y in ((w.c, c.c), (w.b_out, c.b_out)):
+                for (w, wb), (run, ref) in zip(warm, calls):
+                    c, cb = cold(lambda: ran(run))
+                    for x, y in ((w.c, c.c), (wb, cb)):
                         assert_same_bits(x, y)
                     pulses, z0, grid, R, big_phi = ref
                     c, b = stepwise(pulses, [complex(z) for z in z0], grid, R, big_phi)
                     assert_same_bits(w.c, c)
-                    assert_same_bits(w.b_out, b)
+                    assert_same_bits(wb, b)
                 assert warm_steps < rk4_steps[0]
 
     def test_lone_runs_resume_across_pair_runs(self, rk4_steps):
@@ -242,13 +256,13 @@ class TestResume:
         # stored 100 steps) and 40 (a run shorter than the stored one)
         runs = [lone(3.0), pair(0.3), lone(5.0), pair(0.4), lone(6.0), pair(0.6), lone(2.5)]
         rk4_steps[0] = 0
-        warm = [r() for r in runs]
+        warm = [ran(r) for r in runs]
         # a pair's second emitter is not stepped before its first echo
         assert rk4_steps[0] == (60 + 60 + 40 + 10) + 3 * (40 + 20)
-        for r, w in zip(runs, warm):
-            c = cold(r)
+        for r, (w, wb) in zip(runs, warm):
+            c, cb = cold(lambda: ran(r))
             assert_same_bits(w.c, c.c)
-            assert_same_bits(w.b_out, c.b_out)
+            assert_same_bits(wb, cb)
 
     def test_changed_sample_stops_reuse(self, rk4_steps):
         # pulses sampled at the nodes and half nodes; sample m = 2j changes
@@ -263,13 +277,13 @@ class TestResume:
             w[m] += 1e-3
             run = lambda g: evolve_pair(link, sampled_pulse(t, g), sampled_pulse(t, g),
                                         (0.6, 0.8), grid)
-            c = cold(lambda: run(w))
+            c, cb = cold(lambda: ran(lambda: run(w)))
             run(v)
             rk4_steps[0] = 0
             warm = run(w)
             assert rk4_steps[0] == 2 * (grid.n_steps - (m - 1) // 2 // 40 * 40)
             assert_same_bits(warm.c, c.c)
-            assert_same_bits(warm.b_out, c.b_out)
+            assert_same_bits(echo(warm), cb)
 
     def test_threads_resume_from_each_others_runs(self):
         # more threads than cores, switching often, each running the same
@@ -315,7 +329,7 @@ class TestResume:
         wild = np.where(t < 4.0, calm, 3000.0)  # gamma*h = 150 from step 80 on
         run = lambda g: evolve_pair(link, sampled_pulse(t, g), sampled_pulse(t, g),
                                     (0.6, 0.8), grid)
-        expected = cold(lambda: run(calm))
+        expected, expected_b = cold(lambda: ran(lambda: run(calm)))
         rk4_steps[0] = 0
         with pytest.raises(RuntimeError, match="grid too coarse"):
             run(wild)
@@ -325,7 +339,32 @@ class TestResume:
         again = run(calm)
         assert rk4_steps[0] == 2 * grid.n_steps
         assert_same_bits(again.c, expected.c)
-        assert_same_bits(again.b_out, expected.b_out)
+        assert_same_bits(echo(again), expected_b)
+
+    def test_returned_arrays_are_the_stored_run_read_only(self, rk4_steps):
+        # c and gamma_samples are the stored run's own arrays, so writing to
+        # them fails and the next run resumes from the run as it was made:
+        # N = 100 after a run of N = 80 resumes at K = 80 (P = 20)
+        link = make_link(0.5, 1.0, 0.0)
+
+        def run(T, c0):
+            p = constant_pulse(0.5, (0.0, T))
+            return evolve_pair(link, p, p, c0, make_grid(1.0, T, 20))
+
+        for c0 in ((1.0, 0.0), (0.6, 0.8j)):
+            expected, expected_b = cold(lambda: ran(lambda: run(5.0, c0)))
+            first = cold(lambda: run(4.0, c0))
+            for x in (first.c, first.gamma_samples):
+                with pytest.raises(ValueError, match="read-only"):
+                    x[0, 1] = 0.5
+                with pytest.raises(ValueError, match="read-only"):
+                    x *= 2.0
+            assert first.c is dde._last[2][3] and first.gamma_samples is dde._last[2][1]
+            rk4_steps[0] = 0
+            again = run(5.0, c0)
+            assert rk4_steps[0] == (2 if c0[1] == 0.0 else 4) * 20
+            assert_same_bits(again.c, expected.c)
+            assert_same_bits(echo(again), expected_b)
 
     def test_imaginary_start_is_i_times_real_run(self):
         # phi = 0 and c0 = (1j, 0): the complex route steps only imaginary
@@ -333,22 +372,19 @@ class TestResume:
         link = make_link(0.7, 1.0, 0.0)
         grid = make_grid(1.0, 4.3, 50)
         p1, p2 = sin2_pulse(0.7, 4.3), sin2_pulse(0.7, 4.3, mirror=True)
-        re = evolve_pair(link, p1, p2, (1.0, 0.0), grid)
-        im = evolve_pair(link, p1, p2, (1j, 0.0), grid)
+        re, re_b = ran(lambda: evolve_pair(link, p1, p2, (1.0, 0.0), grid))
+        im, im_b = ran(lambda: evolve_pair(link, p1, p2, (1j, 0.0), grid))
         assert np.array_equal(im.c, 1j * re.c)
-        assert np.array_equal(im.b_out, 1j * re.b_out)
+        assert np.array_equal(im_b, 1j * re_b)
         re = evolve_single(link, p1, 1.0, grid)
         im = evolve_single(link, p1, 1j, grid)
         assert np.array_equal(im.c, 1j * re.c)
 
 
-def test_cold_run_peaks_near_what_it_holds():
-    # the RK4 coefficients are Python floats for one block at a time, and the
-    # couplings are released before the Trajectory's complex copies, so a
-    # cold pair run's traced peak stays within 1.3x of what it still holds
-    # on return, its Trajectory and the stored run (1.15x measured; 2.26x
-    # with the whole run's coefficients as Python floats)
-    link, T = make_link(0.1, 1.0, 0.0), 40.0
+def traced_cold_pair_run(T):
+    """A cold sin2 pair run of T tau at 200 steps per tau, gamma tau = 0.1:
+    (steps, bytes held on return, peak bytes) as tracemalloc traces them."""
+    link = make_link(0.1, 1.0, 0.0)
     p = sin2_pulse(0.1, T)
     run = lambda: evolve_pair(link, p, p, (1.0, 0.0), make_grid(1.0, T, 200))
     cold(run)  # one-off allocations of a first call stay out of the trace
@@ -359,8 +395,28 @@ def test_cold_run_peaks_near_what_it_holds():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert traj.grid.n_steps == 8000
+    return traj.grid.n_steps, held, peak
+
+
+def test_cold_run_peaks_near_what_it_holds():
+    # the RK4 coefficients are Python floats for one block at a time, and
+    # the couplings and the norm check's terms are made dde._SPAN columns at
+    # a time, so a cold pair run's traced peak stays within 1.3x of what it
+    # still holds on return, the stored run that its Trajectory shares
+    # (1.25x measured; 2.26x with the whole run's coefficients as Python
+    # floats)
+    steps, held, peak = traced_cold_pair_run(40.0)
+    assert steps == 8000
     assert peak <= 1.3 * held
+
+
+def test_cold_run_peak_per_step():
+    # a pair run holds 96 B per step: its node and half-node samples, c
+    # (float in a real problem) and three rows of echo history; nothing else
+    # made for the run grows with it (107 B/step measured)
+    steps, held, peak = traced_cold_pair_run(100.0)
+    assert steps == 20000
+    assert peak <= 125 * steps
 
 
 def test_kernel_split_counts_runs_blocks_and_row_steps():
@@ -385,6 +441,41 @@ def test_kernel_split_counts_runs_blocks_and_row_steps():
     assert min(s["rk4_s"], s["sampling_s"], s["rest_s"]) > 0.0
     assert s["rest_s"] == s["kernel_s"] - s["rk4_s"] - s["sampling_s"]
     assert (dde._method_of_steps, dde._rk4_steps, dde.eval_pulse) == wrapped
+
+
+def test_memory_split_marks_each_stage(tmp_path, monkeypatch):
+    # tools/memory_split.py wraps cli.main and protocols.run_protocol from
+    # outside: a pass's stages end with its spectrum command, at its first
+    # CZKM run (the series draws before it) and with each CZKM point
+    from shortlink import cli, protocols
+    path = Path(__file__).resolve().parents[1] / "tools" / "memory_split.py"
+    spec = importlib.util.spec_from_file_location("memory_split", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SHORTLINK_OUTDIR", str(tmp_path))
+    argv = ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "1", "--omega-steps", "11"]
+
+    class Workload:
+        setup_argv = argv + ["--out", "setup.csv"]
+
+        def run_pass(self):
+            cli.main(argv + ["--out", "pass.csv"])
+            for T in (3.0, 4.5):
+                protocols.run_protocol(protocols.ProtocolSpec("czkm", 0.5, T),
+                                       make_link(0.5, 1.0, 0.0), 20)
+
+    wrapped = (cli.main, protocols.run_protocol)
+    marks = tool.crosscheck_stages(cli, protocols, Workload())
+    assert [stage for stage, _ in marks] == ["set-up", "spectrum", "series draws",
+                                            "czkm:0.5@3", "czkm:0.5@4.5"]
+    mb = [x for _, x in marks]
+    assert 0 < mb[0] and mb == sorted(mb)
+    assert (cli.main, protocols.run_protocol) == wrapped
+    link, grid = make_link(0.5, 1.0, 0.0), make_grid(1.0, 3.0, 20)
+    p = constant_pulse(0.5, (0.0, 3.0))
+    steps, held, peak = tool.traced_run(dde, lambda: evolve_pair(link, p, p, (1.0, 0.0), grid))
+    assert steps == 60 and 0 < held <= peak
 
 
 class TestSingleEmitter:
@@ -458,10 +549,10 @@ class TestSingleEmitter:
             assert np.max(np.abs(traj.c[0]) ** 2) <= 1.0 + 1e-9
 
 
-def output_field_sum(traj, l, i):
-    """Echo field at step i via the explicit truncated sum over past emissions.
+def output_field_sum(traj, big_phi, l, i):
+    """Echo field at step i, round-trip phase big_phi, via the explicit truncated sum over past emissions.
 
-    Independent of the integrator's recursion for `b_out`; used to cross-check it.
+    Independent of the integrator's recursion for the echo field; used to cross-check it.
     """
     R = traj.echo_delay_steps
     total = 0j
@@ -469,7 +560,7 @@ def output_field_sum(traj, l, i):
     while i - n * R >= 0:
         j = i - n * R
         amp = math.sqrt(traj.gamma_samples[l, j]) * traj.c[l, j]
-        total += phase_factor(traj.echo_phase, n) * amp
+        total += phase_factor(big_phi, n) * amp
         n += 1
     return total
 
@@ -479,10 +570,11 @@ class TestEchoField:
         link = make_link(0.3, 1.0, 1.1)
         grid = make_grid(1.0, 6.0, 50)
         pulse = constant_pulse(0.3, (0.0, 6.0))
-        traj = evolve_pair(link, pulse, pulse, (1.0, 0.0), grid)
+        traj, b = ran(lambda: evolve_pair(link, pulse, pulse, (1.0, 0.0), grid))
         for l in (0, 1):
             for i in (0, 50, 117, 298):  # t = 0, 1, 2.34, 5.96
-                assert traj.b_out[l, i] == pytest.approx(output_field_sum(traj, l, i), abs=1e-12)
+                assert b[l, i] == pytest.approx(output_field_sum(traj, 2.0 * link.phi, l, i),
+                                                abs=1e-12)
 
 
 class TestTwoEmitters:

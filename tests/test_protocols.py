@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -198,6 +199,36 @@ class TestDarkBright:
         state = DarkBrightState(t=np.array([0.0]), d=np.array([1.0 + 0j]),
                                 b=np.array([0.0 + 0j]), u=0.5, t_eff=1.0)
         assert state.drift() == 0.0
+
+
+def test_real_run_reads_as_its_complex_twin():
+    # a real problem's c is float; each reader of it gives what it gives on
+    # the same amplitudes as complex, bit for bit: interpolation at 1000
+    # off-node times, populations, photons, fidelity at an off-node T and
+    # the dark/bright rotation
+    g, T = 0.5, 9.37
+    link = link_for(g)
+    pulses = make_pulses(ProtocolSpec("czkm", g, T), link)
+    traj = evolve_pair(link, *pulses, (1.0, 0.0), make_grid(TAU, T, 200))
+    twin = dataclasses.replace(traj, c=traj.c.astype(complex))
+    assert traj.c.dtype == float
+
+    def same(x, y):
+        x, y = np.atleast_1d(x), np.atleast_1d(y)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
+
+    ts = np.random.default_rng(5).uniform(0.0, traj.grid.t_end, 1000)
+    assert np.all(np.abs(ts / traj.grid.h - np.round(ts / traj.grid.h)) > 1e-9)
+    for l in (0, 1):
+        same(np.array([traj.amplitude_at(l, t) for t in ts]),
+             np.array([twin.amplitude_at(l, t) for t in ts]))
+    same(traj.populations(), twin.populations())
+    same(traj.photon_number(), twin.photon_number())
+    same(fidelity(traj, T), fidelity(twin, T))
+    db, db_twin = dark_bright(traj, pulses, link), dark_bright(twin, pulses, link)
+    for f in dataclasses.fields(db):
+        same(getattr(db, f.name), getattr(db_twin, f.name))
 
 
 class TestLossAndRecords:

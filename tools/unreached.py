@@ -9,7 +9,8 @@ is imported, it runs, in one process:
 - the tier-1 suite (`pytest tests`);
 - one pass of each benchmark workload in `perfbench/workloads.py` at its
   default seed;
-- every CLI command in `tools/compare_outputs.py`'s COMMANDS.
+- every CLI command in `tools/compare_outputs.py`'s COMMANDS;
+- every demo script in its DEMOS, as `__main__`, its prints on stderr.
 
 Outputs go to a temporary SHORTLINK_OUTDIR.  It then prints, per module,
 `path:line: source` for each statement line that none of them executed,
@@ -25,6 +26,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import os
+import runpy
 import sys
 import tempfile
 import threading
@@ -82,6 +84,13 @@ class Tracer:
         return self.local
 
 
+def run_demo(name: str) -> int:
+    """Run a demo script as __main__, its prints on stderr; 0 once it ends."""
+    with contextlib.redirect_stdout(sys.stderr):
+        runpy.run_path(str(ROOT / "demos" / name), run_name="__main__")
+    return 0
+
+
 def run_inputs() -> None:
     """Everything whose coverage counts, each CLI run in a fresh output directory."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
@@ -96,6 +105,7 @@ def run_inputs() -> None:
             for name, cls in workloads.WORKLOADS.items()]
     runs += [(" ".join(argv), lambda argv=argv: cli.main(list(argv)))
              for argv in compare_outputs.COMMANDS]
+    runs += [(f"demo {name}", lambda name=name: run_demo(name)) for name in compare_outputs.DEMOS]
     cwd = os.getcwd()
     for label, run in runs:
         with tempfile.TemporaryDirectory(prefix="unreached-") as out:
