@@ -22,9 +22,8 @@ of c are whole-array operations; those stages stay a Python loop, rounded
 exactly as a step-at-a-time integrator rounds them (real parts alone in a
 real problem); around it a block makes a fixed handful of numpy calls.  A
 run resumes at the last block it shares with the last run of as many
-emitters.  Only the samples, c and the echo history, the one stored run
-per emitter count, are O(N) in the run's N steps; couplings are made _SPAN
-steps and Python floats a block at a time.
+emitters.  The samples, c and the echo history are its only O(N) arrays;
+couplings are held _SPAN steps and Python floats a block at a time.
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ def _unit(z, x):
 
 def _check_norm(c: np.ndarray, samples, h: float) -> None:
     """Fail a run whose norm left [0, 1]: blame non-finite couplings, else the grid."""
-    excess = float(np.max([(np.abs(c[:, i:i + _SPAN]) ** 2).sum(axis=0).max()
-                           for i in range(0, c.shape[1], _SPAN)])) - 1.0  # np.max keeps a NaN
+    excess = max((float((np.abs(c[:, i:i + _SPAN]) ** 2).sum(axis=0).max())
+                  for i in range(0, c.shape[1], _SPAN)), key=lambda m: (math.isnan(m), m)) - 1.0
     if excess <= _NORM_SLACK:
         return
     if not all(np.isfinite(s).all() for s in samples):
@@ -183,12 +182,11 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
         hist[:, :, :K + R + 1] = stored[4][:, :, :K + R + 1]
     del stored, t
 
-    # square roots of the node samples, and the couplings, their negatives,
-    # at nodes, half nodes and nodes again (for left limits), a span at a time
+    # a span at a time: square roots of the node samples, and the couplings (a lone
+    # emitter's carries its phase), their negatives at nodes, half nodes and left limits
     span = max(1, _SPAN // P) * P
     roots = np.zeros((4, L, min(span, N - K) + 1))
-    cpl, sg = roots[:3], roots[3]
-    lone = _unit if L == 2 else operator.mul  # a lone emitter's phase rides on its coupling
+    lone = _unit if L == 2 or by_phase is _unit else operator.mul
     forcing = operator.mul if real else _complex_forcing
     if not K:
         c[:, 0] = c0
@@ -204,10 +202,12 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
         a, ah = (-0.5 * gamma[:, k:k + n + 1]).tolist(), (-0.5 * gh[:, k:k + n]).tolist()
         if not j:  # the next span; its last half node is unused
             m = min(span, N - k)
-            np.sqrt(gamma[:, k:k + m + 1], out=sg[:, :m + 1])
-            np.negative(sg, out=cpl[::2])
+            root, cpl = roots[3, :, :m + 1], roots[:3, :, :m + 1]
+            np.sqrt(gamma[:, k:k + m + 1], out=root)
+            np.negative(root, out=cpl[::2])
             np.sqrt(gh[:, k:k + m], out=cpl[1, :, :m])
             np.negative(cpl[1], out=cpl[1])
+            coupling = lone(e_self, cpl)
         # the echo piece [k - P, k] has closed: fill its half nodes, centred
         # cubics inside, and at either end the cubic through the end nodes
         p = k - P + R
@@ -227,7 +227,7 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
         E = hist[..., k:k + n + 1]
         if L == 2:
             E = by_phase(e_self, E) + by_phase(e_cross, hist[:, ::-1, k + cross:k + cross + n + 1])
-        F = forcing(lone(e_self, cpl[..., j:j + n + 1]), E)
+        F = forcing(coupling[..., j:j + n + 1], E)
         F[0, :, n] = F[2, :, n]
         fs, fhs = F[:2].tolist()
         # Real coefficients step the real and imaginary parts apart, as
@@ -239,7 +239,7 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
             if y0 or any(f) or any(fh[:n]):
                 out = _rk4_steps(y0, a[l], ah[l], f, fh, h)
                 row[k + 1:k + n + 1] = np.frombuffer(struct.pack(f"{n}d", *out))
-        x = sg[:, j + 1:j + n + 1] * c[:, k + 1:k + n + 1]
+        x = root[:, j + 1:j + n + 1] * c[:, k + 1:k + n + 1]
         hist[::2, :, k + 1 + R:k + n + 1 + R] = x + by_phase(e_self, hist[::2, :, k + 1:k + n + 1])
 
     _check_norm(c[:, K:], (gamma, gh), h)  # a stored run passed it
