@@ -14,6 +14,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 NON_FINITE = "non-finite amplitude; check the couplings for NaN or inf"
+NORM_SLACK = 1e-9  # how far past 1 a single-excitation norm may round
 
 
 def _check_finite(name, value):
@@ -241,18 +242,35 @@ def make_grid(tau: float, t_end: float, steps_per_tau: int = 200) -> TimeGrid:
     return TimeGrid(h=h, steps_per_tau=int(steps_per_tau), t_end=n * h, n_steps=n)
 
 
+def run_inputs(pulses, c0, grid: TimeGrid):
+    """An integrator's inputs, checked before its first step: (c0, gamma, gh).
+
+    c0, made complex with its signed zeros kept, must be finite with norm <= 1;
+    gamma and gh, the pulses' samples at nodes and half nodes, must be finite.
+    """
+    c0 = tuple(complex(z) for z in c0)
+    if not sum(a * a for a in map(abs, c0)) <= 1.0 + NORM_SLACK:  # NaN fails too
+        raise ValueError("initial amplitudes must be finite with norm <= 1 "
+                         f"(the single-excitation sector), got {c0!r}")
+    t = grid.times()
+    gamma = np.array([eval_pulse(p, t) for p in pulses], dtype=float)
+    gh = np.array([eval_pulse(p, t[:-1] + 0.5 * grid.h) for p in pulses], dtype=float)
+    if not (np.isfinite(gamma).all() and np.isfinite(gh).all()):
+        raise ValueError(NON_FINITE)
+    return c0, gamma, gh
+
+
 @dataclass
 class Trajectory:
-    """Emitter amplitudes on a grid plus sampled couplings.
+    """Emitter amplitudes on a grid.
 
     c has shape (n_emitters, n_steps+1); echo_delay_steps is the self-echo
     delay in steps.  From the method of steps, c (float in a real problem)
-    and gamma_samples are read-only: its stored run.
+    is read-only: its stored run.
     """
 
     grid: TimeGrid
     c: np.ndarray
-    gamma_samples: np.ndarray
     echo_delay_steps: int
 
     @property

@@ -34,15 +34,14 @@ import struct
 
 import numpy as np
 
-from .core import (NON_FINITE, LinkParams, PulseProfile, TimeGrid, Trajectory,
-                   _lagrange_weights, eval_pulse, phase_factor)
+from .core import (NORM_SLACK, LinkParams, PulseProfile, TimeGrid, Trajectory,
+                   _lagrange_weights, phase_factor, run_inputs)
 
 # cubic Lagrange weights, as floats, for a value midway between stencil
 # nodes (S, S+1), (S+1, S+2) and (S+2, S+3)
 _W0, _W1, _W2 = [_lagrange_weights(x).tolist() for x in (0.5, 1.5, 2.5)]
 _MID_W = np.array(_W1).reshape(4, 1, 1)
 
-_NORM_SLACK = 1e-9
 _SPAN = 1024  # columns of couplings, and of norm-check terms, made at a time
 
 # per emitter count, the last run's (key, gamma, gh, c, hist); never
@@ -76,25 +75,14 @@ def _unit(z, x):
 
 
 def _check_norm(c: np.ndarray, samples, h: float) -> None:
-    """Fail a run whose norm left [0, 1]: blame non-finite couplings, else the grid."""
+    """Fail a run whose norm left [0, 1]: its couplings are finite, so the grid is too coarse."""
     excess = max((float((np.abs(c[:, i:i + _SPAN]) ** 2).sum(axis=0).max())
                   for i in range(0, c.shape[1], _SPAN)), key=lambda m: (math.isnan(m), m)) - 1.0
-    if excess <= _NORM_SLACK:
+    if excess <= NORM_SLACK:
         return
-    if not all(np.isfinite(s).all() for s in samples):
-        raise RuntimeError(NON_FINITE)
     grew = f"exceeded 1 by {excess:.3e}" if math.isfinite(excess) else "diverged"
     raise RuntimeError(f"single-excitation norm {grew}; grid too coarse "
                        f"(gamma_max*h = {max(map(np.max, samples)) * h:.3g})")
-
-
-def _check_initial(c0) -> tuple:
-    """Initial amplitudes, finite and of norm at most 1; -0 parts read +0."""
-    c0 = tuple(complex(z) + 0.0 for z in c0)
-    norm = sum(abs(z) ** 2 for z in c0)
-    if not (math.isfinite(norm) and norm <= 1.0 + _NORM_SLACK):
-        raise ValueError(f"initial amplitudes must be finite with norm <= 1, got {c0!r}")
-    return c0
 
 
 def _rk4_steps(y, a, ah, f, fh, h):
@@ -150,6 +138,8 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     at a time, and coefficient lists at the block.  A run takes the stored
     run out of the store and drops it once its prefix is copied.
     """
+    c0, gamma, gh = run_inputs(pulses, c0, grid)
+    c0 = tuple(z + 0.0 for z in c0)  # -0 parts read +0, as the real route needs
     L = len(pulses)
     h, N, M = grid.h, grid.n_steps, grid.steps_per_tau
     P = M if L == 2 else R
@@ -162,9 +152,6 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     else:
         by_phase = _cmul
 
-    t = grid.times()
-    gamma = np.array([eval_pulse(p, t) for p in pulses], dtype=float)
-    gh = np.array([eval_pulse(p, t[:-1] + 0.5 * h) for p in pulses], dtype=float)
     key = repr((L, h, R, P, big_phi, c0))  # repr tells -0.0 from 0.0
     stored = _last.pop(L, None)  # out of the store: no run overlaps the run it replaces
     K = 0
@@ -180,7 +167,7 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     if K:  # resume at the last block boundary before the first changed step
         c[:, :K + 1] = stored[3][:, :K + 1]
         hist[:, :, :K + R + 1] = stored[4][:, :, :K + R + 1]
-    del stored, t
+    del stored
 
     # a span at a time: square roots of the node samples, and the couplings (a lone
     # emitter's carries its phase), their negatives at nodes, half nodes and left limits
@@ -243,19 +230,18 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
         hist[::2, :, k + 1 + R:k + n + 1 + R] = x + by_phase(e_self, hist[::2, :, k + 1:k + n + 1])
 
     _check_norm(c[:, K:], (gamma, gh), h)  # a stored run passed it
-    c.flags.writeable = gamma.flags.writeable = False  # shared with the stored run
+    c.flags.writeable = False  # shared with the stored run
     _last[L] = (key, gamma, gh, c, hist)
-    return Trajectory(grid=grid, c=c, gamma_samples=gamma, echo_delay_steps=R)
+    return Trajectory(grid=grid, c=c, echo_delay_steps=R)
 
 
 def evolve_pair(link: LinkParams, pulse1: PulseProfile, pulse2: PulseProfile,
                 c0, grid: TimeGrid) -> Trajectory:
     """Integrate the two-emitter DDE from initial amplitudes c0 = (c1, c2)."""
-    c0 = _check_initial((c0[0], c0[1]))
     M = grid.steps_per_tau
     if M < 4 or abs(M * grid.h - link.tau) > 1e-12 * link.tau:
         raise ValueError("tau must be a whole number (>= 4) of grid steps")
-    return _method_of_steps((pulse1, pulse2), c0, grid, 2 * M, 2.0 * link.phi)
+    return _method_of_steps((pulse1, pulse2), (c0[0], c0[1]), grid, 2 * M, 2.0 * link.phi)
 
 
 def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
@@ -266,7 +252,6 @@ def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
     geometry uses (2*tau, 2*phi) (the default); the series-solution
     convention uses (tau, phi).  T_rt must be a whole number of grid steps.
     """
-    c0 = _check_initial((c0,))
     if round_trip is None:
         t_rt, big_phi = 2.0 * link.tau, 2.0 * link.phi
     else:
@@ -275,7 +260,7 @@ def evolve_single(link: LinkParams, pulse: PulseProfile, c0: complex,
     R = int(round(t_rt / h))
     if R < 4 or abs(R * h - t_rt) > 1e-9 * t_rt:
         raise ValueError("round-trip time must be a whole number (>= 4) of grid steps")
-    return _method_of_steps((pulse,), c0, grid, R, big_phi)
+    return _method_of_steps((pulse,), (c0,), grid, R, big_phi)
 
 
 def _kinks(traj: Trajectory, x, kind):

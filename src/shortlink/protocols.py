@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class ProtocolSpec:
 
     def __post_init__(self):
         check_kind(self.kind)
-        if self.gamma0 <= 0 or self.duration <= 0:
+        if not (0 < self.gamma0 < math.inf and 0 < self.duration < math.inf):  # NaN fails too
             raise ValueError("need gamma0 > 0 and duration > 0")
 
 
@@ -122,8 +122,6 @@ class DarkBrightState:
     b: np.ndarray
     u: float
     t_eff: float
-    c1: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=complex))
-    c2_shifted: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=complex))
 
     def drift(self) -> float:
         """max_t |d(t) - d(0)|; vanishes for the ideal sech protocol."""
@@ -152,7 +150,7 @@ def dark_bright(traj: Trajectory, pulses, link: LinkParams) -> DarkBrightState:
     b = (g1 * c1 + g2s * c2s) / root
     t_eff = traj.grid.t_end - link.tau
     u = math.tanh(0.25 * link.gamma0 * t_eff)
-    return DarkBrightState(t=t, d=d, b=b, u=u, t_eff=t_eff, c1=c1, c2_shifted=c2s)
+    return DarkBrightState(t=t, d=d, b=b, u=u, t_eff=t_eff)
 
 
 def bright_response(gamma0: float, tau: float, t_eff: float,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NON_FINITE, LinkParams, TimeGrid, Trajectory, eval_pulse, make_grid
+from .core import LinkParams, TimeGrid, Trajectory, make_grid, run_inputs
 
 _MAX_PHASE_STEP = 0.5
 _BLOCK = 16  # steps whose phase rows and photon sums are made together
@@ -31,11 +31,10 @@ _BLOCK = 16  # steps whose phase rows and photon sums are made together
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Mode ladder of the link: frequencies, end parities, integer indices."""
+    """Mode ladder of the link: frequencies and end parities."""
 
     omegas: np.ndarray
     parity: np.ndarray
-    indices: np.ndarray
 
     @property
     def n_modes(self) -> int:
@@ -56,11 +55,7 @@ def build_modes(link: LinkParams, n_modes: int) -> ModeSet:
     if j0 < 1:
         j0 = 1
     idx = np.arange(j0, j0 + n_modes)
-    return ModeSet(
-        omegas=idx * fsr,
-        parity=np.where(idx % 2 == 0, 1.0, -1.0),
-        indices=idx,
-    )
+    return ModeSet(omegas=idx * fsr, parity=np.where(idx % 2 == 0, 1.0, -1.0))
 
 
 def steps_for_modes(link: LinkParams, modes: ModeSet, base: int) -> int:
@@ -87,9 +82,9 @@ class WWTrajectory(Trajectory):
 def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> WWTrajectory:
     """Fixed-step RK4 integration of the emitter + mode amplitudes.
 
-    pulses: (pulse1, pulse2), whose samples must be finite; c0: initial
-    (c1, c2).  The mode loop is vectorized with a fixed summation order, so
-    results are reproducible bit-for-bit.
+    pulses: (pulse1, pulse2); c0: initial (c1, c2); core.run_inputs checks
+    both before the first step.  The mode loop is vectorized with a fixed
+    summation order, so results are reproducible bit-for-bit.
 
     Steps go in blocks of _BLOCK, each making its phase rows in one exp
     call.  A step's start phases are those of the last step's end where
@@ -97,29 +92,23 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     """
     if len(pulses) != 2:
         raise ValueError("evolve_ww needs exactly two pulses")
-    c01, c02 = complex(c0[0]), complex(c0[1])
-    if not abs(c01) ** 2 + abs(c02) ** 2 <= 1.0 + 1e-9:  # NaN fails too
-        raise ValueError("initial amplitudes must be finite with norm <= 1 "
-                         f"(the single-excitation sector), got {(c01, c02)!r}")
     i_nu = -1j * (modes.omegas - link.delta)
     h = grid.h
     if h * float(np.max(np.abs(i_nu))) > _MAX_PHASE_STEP:
         raise ValueError("grid too coarse for this mode ladder: "
                          f"need h * max|omega_k - Delta| <= {_MAX_PHASE_STEP}")
+    (x1, x2), gamma, g_h = run_inputs(pulses, (c0[0], c0[1]), grid)
     N = grid.n_steps
     t_nodes = grid.times()
-    gamma = np.array([eval_pulse(p, t_nodes) for p in pulses], dtype=float)
     scale = 1.0 / math.sqrt(2.0 * link.tau)
-    g_h = (scale * np.sqrt([eval_pulse(p, t_nodes[:-1] + 0.5 * h) for p in pulses])).T
-    if not (np.isfinite(scale * np.sqrt(gamma)).all() and np.isfinite(g_h).all()):
-        raise ValueError(NON_FINITE)
+    g_h = np.multiply(scale, np.sqrt(g_h, out=g_h), out=g_h).T  # (g1, g2) at each half node
     s = modes.parity
     odd = (s < 0).astype(np.intp)
     sum_ = np.add.reduce  # np.sum's pairwise reduction, without its wrapper
 
     c = np.empty((2, N + 1), dtype=complex)
     photon = np.empty(N + 1)
-    c[:, 0] = c01, c02
+    c[:, 0] = x1, x2
     a = np.zeros(modes.n_modes, dtype=complex)  # mode amplitudes alpha_k
     photon[0] = sum_(np.abs(a) ** 2)
     # per block: alpha after each step, and per phase time t a row (ph, s ph,
@@ -138,9 +127,8 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
         return -1j * g1 * sa1, -1j * g2 * sa2, back * force
 
     hh, h6 = 0.5 * h, h / 6.0
-    # the emitter amplitudes stay Python complex: numpy scalar arithmetic
-    # rounds the same but dispatches on every operation
-    x1, x2 = c01, c02
+    # the emitter amplitudes x1, x2 stay Python complex: numpy scalar
+    # arithmetic rounds the same but dispatches on every operation
     end = math.nan
     for i0 in range(0, N, _BLOCK):
         i1 = min(i0 + _BLOCK, N)
@@ -173,8 +161,8 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
         photon[i0 + 1:i1 + 1] = sum_(np.abs(alphas[:i1 - i0]) ** 2, 1)
         phase[0] = phase[R - 1]
 
-    return WWTrajectory(grid=grid, c=c, gamma_samples=gamma,
-                        echo_delay_steps=2 * grid.steps_per_tau, photon=photon, modes=modes)
+    return WWTrajectory(grid=grid, c=c, echo_delay_steps=2 * grid.steps_per_tau,
+                        photon=photon, modes=modes)
 
 
 def unitarity_defect(traj: WWTrajectory) -> float:

@@ -180,8 +180,7 @@ def test_trajectory_amplitude_interpolation():
     t = grid.times()
     # cubic interpolation must be exact on a cubic polynomial
     vals = (0.3 + 0.2j) * t**3 - t**2 + (1.0 - 0.5j) * t + 2.0
-    traj = Trajectory(grid=grid, c=np.array([vals]), gamma_samples=np.zeros((1, t.size)),
-                      echo_delay_steps=10)
+    traj = Trajectory(grid=grid, c=np.array([vals]), echo_delay_steps=10)
     for x in (0.33, 1.234, 1.999):
         want = (0.3 + 0.2j) * x**3 - x**2 + (1.0 - 0.5j) * x + 2.0
         assert traj.amplitude_at(0, x) == pytest.approx(want, rel=1e-12)

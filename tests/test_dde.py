@@ -12,9 +12,10 @@ import pytest
 
 from shortlink import dde
 from shortlink.analytic import SeriesParams, series_solution
-from shortlink.core import (TimeGrid, constant_pulse, eval_pulse, make_grid, make_link,
-                            phase_factor, sampled_pulse, sin2_pulse, tanh_pulse)
+from shortlink.core import (NON_FINITE, TimeGrid, constant_pulse, eval_pulse, make_grid,
+                            make_link, phase_factor, sampled_pulse, sin2_pulse, tanh_pulse)
 from shortlink.dde import evolve_pair, evolve_single
+from shortlink.ww import build_modes, evolve_ww
 
 
 def single_run(gamma, phi, t_end=5.0, steps=200):
@@ -96,6 +97,11 @@ def assert_same_bits(x, y):
 def echo(traj):
     """The echo field b[l, i] of the run just made: its stored history's right limits from t = 0."""
     return dde._last[traj.c.shape[0]][4][0][:, traj.echo_delay_steps:]
+
+
+def samples(traj):
+    """The node samples gamma[l, i] of the run just made: its stored run's."""
+    return dde._last[traj.c.shape[0]][1]
 
 
 def ran(run):
@@ -192,14 +198,14 @@ class TestResume:
         runs += [run(0.5, T, c0=(0.6, 0.8j)) for T in (2.2, 3.1, 2.9)]
         runs += [run(0.8, T, phi=1.9, c0=(0.6j, 0.0), lone=True, steps=20) for T in (3.0, 4.0)]
         rk4_steps[0] = 0
-        warm = [ran(r) for r in runs]
+        warm = [(w, echo(w), samples(w)) for w in (r() for r in runs)]
         warm_steps, rk4_steps[0] = rk4_steps[0], 0
-        for r, (w, wb) in zip(runs, warm):
-            c, cb = cold(lambda: ran(r))
-            for x, y in ((w.c, c.c), (wb, cb), (w.gamma_samples, c.gamma_samples)):
+        for r, (w, wb, wg) in zip(runs, warm):
+            c = cold(r)
+            for x, y in ((w.c, c.c), (wb, echo(c)), (wg, samples(c))):
                 assert x.dtype == y.dtype
                 assert_same_bits(x, y)
-            assert w.c.flags.owndata and w.gamma_samples.flags.owndata
+            assert w.c.flags.owndata and wg.flags.owndata
         assert warm_steps < 0.7 * rk4_steps[0]  # 0.64 measured
 
     @pytest.mark.parametrize("steps", [4, 5])
@@ -342,8 +348,8 @@ class TestResume:
         assert_same_bits(echo(again), expected_b)
 
     def test_returned_arrays_are_the_stored_run_read_only(self, rk4_steps):
-        # c and gamma_samples are the stored run's own arrays, so writing to
-        # them fails and the next run resumes from the run as it was made:
+        # c is the stored run's own array, so writing to it fails and the
+        # next run resumes from the run as it was made:
         # N = 100 after a run of N = 80 resumes at K = 80 (P = 20)
         link = make_link(0.5, 1.0, 0.0)
 
@@ -354,12 +360,11 @@ class TestResume:
         for c0 in ((1.0, 0.0), (0.6, 0.8j)):
             expected, expected_b = cold(lambda: ran(lambda: run(5.0, c0)))
             first = cold(lambda: run(4.0, c0))
-            for x in (first.c, first.gamma_samples):
-                with pytest.raises(ValueError, match="read-only"):
-                    x[0, 1] = 0.5
-                with pytest.raises(ValueError, match="read-only"):
-                    x *= 2.0
-            assert first.c is dde._last[2][3] and first.gamma_samples is dde._last[2][1]
+            with pytest.raises(ValueError, match="read-only"):
+                first.c[0, 1] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                first.c *= 2.0
+            assert first.c is dde._last[2][3]
             rk4_steps[0] = 0
             again = run(5.0, c0)
             assert rk4_steps[0] == (2 if c0[1] == 0.0 else 4) * 20
@@ -435,12 +440,12 @@ def test_kernel_split_counts_runs_blocks_and_row_steps():
             p = constant_pulse(g, (0.0, 2.6))
             evolve_pair(link, p, p, (1.0, 0.0), grid)
 
-    wrapped = (dde._method_of_steps, dde._rk4_steps, dde.eval_pulse)
+    wrapped = (dde._method_of_steps, dde._rk4_steps, dde.run_inputs)
     s = tool.split(dde, two_runs)
     assert (s["runs"], s["blocks"], s["row_steps"]) == (2, 6, 2 * (52 + 32))
     assert min(s["rk4_s"], s["sampling_s"], s["rest_s"]) > 0.0
     assert s["rest_s"] == s["kernel_s"] - s["rk4_s"] - s["sampling_s"]
-    assert (dde._method_of_steps, dde._rk4_steps, dde.eval_pulse) == wrapped
+    assert (dde._method_of_steps, dde._rk4_steps, dde.run_inputs) == wrapped
 
 
 def test_memory_split_marks_each_stage(tmp_path, monkeypatch):
@@ -478,6 +483,32 @@ def test_memory_split_marks_each_stage(tmp_path, monkeypatch):
     assert steps == 60 and 0 < held <= peak
 
 
+@pytest.mark.parametrize("emitters, run", [
+    (1, lambda link, pulses, c0, grid: evolve_single(link, pulses[0], c0[0], grid)),
+    (2, lambda link, pulses, c0, grid: evolve_pair(link, *pulses, c0, grid)),
+    (2, lambda link, pulses, c0, grid: evolve_ww(link, build_modes(link, 5), pulses, c0, grid)),
+], ids=["evolve_single", "evolve_pair", "evolve_ww"])
+def test_inputs_fail_before_the_first_step(emitters, run, rk4_steps):
+    # one front end, core.run_inputs, checks every integrator's inputs: a NaN
+    # or inf coupling sample fails before the method of steps takes an RK4
+    # step, and a bad c0 gives one message (an overflowing norm included)
+    link = make_link(0.5, 1.0, 0.0)
+    grid = make_grid(1.0, 2.0, 40)
+    good = constant_pulse(0.5, (0.0, 2.0))
+    for bad in (math.nan, math.inf):
+        pulses = (sampled_pulse([0.0, 2.0], [0.5, bad]), good)
+        with pytest.raises(ValueError, match=f"^{re.escape(NON_FINITE)}$"):
+            run(link, pulses, (1.0, 0.0), grid)
+    assert rk4_steps[0] == 0
+    for c0 in ((math.nan, 0.0), (complex(0.0, math.inf), 0.0), (1.2, 0.0), (1e200, 0.0)):
+        got = tuple(complex(z) for z in c0[:emitters])
+        with pytest.raises(ValueError, match=re.escape(
+                "initial amplitudes must be finite with norm <= 1 "
+                f"(the single-excitation sector), got {got!r}")):
+            run(link, (good, good), c0, grid)
+    assert rk4_steps[0] == 0
+
+
 class TestSingleEmitter:
     def test_markovian_limit_before_first_echo(self):
         traj, grid = single_run(0.4, 1.0, t_end=0.9)
@@ -508,14 +539,10 @@ class TestSingleEmitter:
         assert order1 > 3.5 and order2 > 3.5
 
     def test_non_finite_input_rejected(self):
-        link = make_link(0.1, 1.0, 0.0)
-        grid = make_grid(1.0, 3.0, 20)
-        with pytest.raises(ValueError, match="finite"):
-            evolve_single(link, constant_pulse(0.1, (0.0, 3.0)), complex(math.nan, 0.0), grid)
+        # an analytic pulse fails on construction; a sampled one, and c0, fail
+        # in the integrators' front end (test_inputs_fail_before_the_first_step)
         with pytest.raises(ValueError, match="^gamma0 must be finite, got nan$"):
-            constant_pulse(math.nan, (0.0, 3.0))  # an analytic pulse fails on construction
-        with pytest.raises(RuntimeError, match="non-finite"):
-            evolve_single(link, sampled_pulse([0.0, 3.0], [0.1, math.nan]), 1.0, grid)
+            constant_pulse(math.nan, (0.0, 3.0))
 
     @pytest.mark.parametrize("gamma, steps, t_end, grew", [
         (3000.0, 200, 3.0, "diverged"),              # gamma*h = 15: inf and NaN
@@ -549,7 +576,7 @@ class TestSingleEmitter:
             assert np.max(np.abs(traj.c[0]) ** 2) <= 1.0 + 1e-9
 
 
-def output_field_sum(traj, big_phi, l, i):
+def output_field_sum(traj, gamma, big_phi, l, i):
     """Echo field at step i, round-trip phase big_phi, via the explicit truncated sum over past emissions.
 
     Independent of the integrator's recursion for the echo field; used to cross-check it.
@@ -559,7 +586,7 @@ def output_field_sum(traj, big_phi, l, i):
     n = 0
     while i - n * R >= 0:
         j = i - n * R
-        amp = math.sqrt(traj.gamma_samples[l, j]) * traj.c[l, j]
+        amp = math.sqrt(gamma[l, j]) * traj.c[l, j]
         total += phase_factor(big_phi, n) * amp
         n += 1
     return total
@@ -571,10 +598,11 @@ class TestEchoField:
         grid = make_grid(1.0, 6.0, 50)
         pulse = constant_pulse(0.3, (0.0, 6.0))
         traj, b = ran(lambda: evolve_pair(link, pulse, pulse, (1.0, 0.0), grid))
+        gamma = samples(traj)
         for l in (0, 1):
             for i in (0, 50, 117, 298):  # t = 0, 1, 2.34, 5.96
-                assert b[l, i] == pytest.approx(output_field_sum(traj, 2.0 * link.phi, l, i),
-                                                abs=1e-12)
+                want = output_field_sum(traj, gamma, 2.0 * link.phi, l, i)
+                assert b[l, i] == pytest.approx(want, abs=1e-12)
 
 
 class TestTwoEmitters:
@@ -654,15 +682,13 @@ class TestTwoEmitters:
         assert np.max(pop2) > 0.95
 
     def test_initial_norm_validation(self):
+        # the initial norm may round past 1 by core.NORM_SLACK (1e-9), no further
         link = make_link(0.1, 1.0, 0.0)
         grid = make_grid(1.0, 2.0, 20)
         p = constant_pulse(0.1, (0.0, 2.0))
-        with pytest.raises(ValueError):
-            evolve_pair(link, p, p, (1.0, 0.5), grid)
-        with pytest.raises(ValueError, match="finite"):
-            evolve_pair(link, p, p, (math.nan, 0.0), grid)
-        with pytest.raises(RuntimeError, match="non-finite"):
-            evolve_pair(link, sampled_pulse([0.0, 2.0], [0.1, math.nan]), p, (1.0, 0.0), grid)
+        evolve_pair(link, p, p, (1.0, 1e-5), grid)  # norm 1 + 1e-10
+        with pytest.raises(ValueError, match="norm <= 1"):
+            evolve_pair(link, p, p, (1.0, 1e-4), grid)  # norm 1 + 1e-8
 
     def test_too_few_steps_per_tau_rejected(self):
         # the half-node stencil needs four steps inside each delay

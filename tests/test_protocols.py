@@ -63,6 +63,13 @@ class TestMakePulses:
         with pytest.raises(ValueError):
             make_pulses(ProtocolSpec("czkm", 0.1, 0.5), link_for(0.1))
 
+    @pytest.mark.parametrize("gamma0, T", [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.nan),
+                                           (0.1, math.inf), (0.0, 1.0), (0.1, -1.0)])
+    def test_spec_needs_finite_positive_coupling_and_duration(self, gamma0, T):
+        # NaN fails the comparisons, so it is rejected with the rest
+        with pytest.raises(ValueError, match="^need gamma0 > 0 and duration > 0$"):
+            ProtocolSpec("swap", gamma0, T)
+
 
 class TestShapedPulse:
     def test_sech_density_recovers_tanh(self):
@@ -183,7 +190,8 @@ class TestDarkBright:
         traj, pulses, link = czkm_run
         db = dark_bright(traj, pulses, link)
         lhs = np.abs(db.d) ** 2 + np.abs(db.b) ** 2
-        rhs = np.abs(db.c1) ** 2 + np.abs(db.c2_shifted) ** 2
+        M = traj.grid.steps_per_tau
+        rhs = np.abs(traj.c[0, :-M]) ** 2 + np.abs(traj.c[1, M:]) ** 2
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     @pytest.mark.parametrize("T", [0.5, TAU])

@@ -14,15 +14,15 @@ class TestBuildModes:
         link = make_link(0.1, 1.0, 50 * math.pi)
         m = build_modes(link, 11)
         assert m.n_modes == 11
-        assert m.indices[5] == 50  # centered on the resonant mode
-        np.testing.assert_allclose(m.omegas, m.indices * math.pi)
-        np.testing.assert_array_equal(m.parity, (-1.0) ** m.indices)
+        indices = np.arange(45, 56)  # centered on the resonant mode 50
+        np.testing.assert_allclose(m.omegas / link.fsr, indices)
+        np.testing.assert_array_equal(m.parity, (-1.0) ** indices)
 
     def test_clamped_at_first_mode(self):
         # a wide ladder at low detuning starts at the first physical mode
         link = make_link(0.1, 1.0, 5 * math.pi)
         m = build_modes(link, 401)
-        assert m.indices[0] == 1
+        assert m.omegas[0] / link.fsr == 1.0
         assert m.n_modes == 401
 
     def test_odd_validation(self):

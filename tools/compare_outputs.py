@@ -91,6 +91,7 @@ COMMANDS = [
     ["protocol", "czkm", "--gamma-tau", "0.2", "--t", "9", "--kappa-tau", "0.2"],
     ["protocol", "swap", "--gamma-tau", "0.2", "--t", "3", "--kappa-tau", "0.5"],
     ["protocol", "swap", "--gamma-tau", "0.2", "--t", "1e-12"],
+    *[["protocol", "swap", "--gamma-tau", "0.2", f"--t={bad}"] for bad in ("nan", "inf")],
 ]
 DEMOS = ["echo_dynamics.py", "loss_comparison.py", "oracle_crosscheck.py",
          "protocol_benchmark.py", "spectroscopy.py", "wavepacket_shaping.py"]
