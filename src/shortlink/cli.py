@@ -55,7 +55,7 @@ def cmd_simulate(args) -> int:
                        else (wpulse, constant_pulse(0.0, (0.0, wgrid.t_end))),
                        (1.0, 0.0), wgrid)
         stride = M // args.steps_per_tau
-        wp = ww.populations()[:, ::stride][:, : len(traj.t)]
+        wp = np.abs(ww.c[:, ::stride][:, : len(traj.t)]) ** 2  # only the nodes printed
         cols += ["ww_pop1", "ww_pop2", "ww_n_photon"]
         data += [wp[0], wp[1], ww.photon[::stride][: len(traj.t)]]
     rows = np.column_stack(data)

@@ -19,6 +19,8 @@ A run keeps the link photon number sum_k |alpha_k|^2 at each grid node
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +81,20 @@ class WWTrajectory(Trajectory):
         return self.photon
 
 
+def _exp_rows(todo, started, done):
+    """Worker of one evolve_ww call: take each posted phase argument in turn,
+    say so on `started`, make it its exponential in place and say so on
+    `done`; None ends it.  An exception goes back on `done`, where the
+    caller raises it, and ends the worker."""
+    try:
+        while (arg := todo.get()) is not None:
+            started.put(None)
+            np.exp(arg, out=arg)
+            done.put(None)
+    except BaseException as exc:  # raised again by the caller
+        done.put(exc)
+
+
 def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> WWTrajectory:
     """Fixed-step RK4 integration of the emitter + mode amplitudes.
 
@@ -89,6 +105,9 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     Steps go in blocks of _BLOCK, each making its phase rows in one exp
     call.  A step's start phases are those of the last step's end where
     i h equals t + h, as in a step-at-a-time loop, whose results it keeps.
+    The next block's exp call runs on a worker thread (numpy releases the
+    GIL in it) while this block steps; the worker is joined before the
+    call returns or raises.
     """
     if len(pulses) != 2:
         raise ValueError("evolve_ww needs exactly two pulses")
@@ -99,7 +118,6 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
                          f"need h * max|omega_k - Delta| <= {_MAX_PHASE_STEP}")
     (x1, x2), gamma, g_h = run_inputs(pulses, (c0[0], c0[1]), grid)
     N = grid.n_steps
-    t_nodes = grid.times()
     scale = 1.0 / math.sqrt(2.0 * link.tau)
     g_h = np.multiply(scale, np.sqrt(g_h, out=g_h), out=g_h).T  # (g1, g2) at each half node
     s = modes.parity
@@ -111,11 +129,32 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     c[:, 0] = x1, x2
     a = np.zeros(modes.n_modes, dtype=complex)  # mode amplitudes alpha_k
     photon[0] = sum_(np.abs(a) ** 2)
-    # per block: alpha after each step, and per phase time t a row (ph, s ph,
-    # back), ph = e^{-i nu t}, back = -i e^{+i nu t}; row 0: the last block's end
+    # per block: alpha after each step, and per phase time t a row of the
+    # planes ph, s ph and back, ph = e^{-i nu t}, back = -i e^{+i nu t}; row
+    # 0: the last block's end.  `spare` holds the next block's ph rows
     alphas = np.empty((min(N, _BLOCK), modes.n_modes), dtype=complex)
-    phase = np.empty((3 * len(alphas) + 1, 3, modes.n_modes), dtype=complex)
-    rows = list(zip(phase[:, :2], phase[:, 2]))
+    phase = np.empty((3, 3 * len(alphas) + 1, modes.n_modes), dtype=complex)
+    spare = np.empty((3 * len(alphas), modes.n_modes), dtype=complex)
+    rows = list(zip(phase[:2].swapaxes(0, 1), phase[2]))
+    todo, started, done = queue.SimpleQueue(), queue.SimpleQueue(), queue.SimpleQueue()
+    hh, h6 = 0.5 * h, h / 6.0
+
+    def post(i0, end):
+        # distinct phase times in step order: a start unless it equals the
+        # last step's end, a midpoint and an end; first[j]: step j's start
+        # row.  Their arguments go to the worker, which takes the GIL for its
+        # exp call before this returns.  Returns (R, first, the last end)
+        times, first = [end], []
+        for t in (np.arange(i0, min(i0 + _BLOCK, N)) * h).tolist():
+            if t != end:
+                times.append(t)
+            first.append(len(times) - 1)
+            end = t + h
+            times += (t + hh, end)
+        R = len(times)
+        todo.put(np.multiply.outer(np.array(times[1:], dtype=complex), i_nu, out=spare[:R - 1]))
+        started.get()
+        return R, first, end
 
     def rhs(rows, back, a, x1, x2, g1, g2):
         # returns (dc1, dc2, dalpha).  Since s = +-1, (s ph) a = s (ph a)
@@ -126,40 +165,41 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
         force = np.array((f1 + f2 * 1.0, f1 + f2 * -1.0))[odd]
         return -1j * g1 * sa1, -1j * g2 * sa2, back * force
 
-    hh, h6 = 0.5 * h, h / 6.0
-    # the emitter amplitudes x1, x2 stay Python complex: numpy scalar
-    # arithmetic rounds the same but dispatches on every operation
-    end = math.nan
-    for i0 in range(0, N, _BLOCK):
-        i1 = min(i0 + _BLOCK, N)
-        # distinct phase times in step order: a start unless it equals the
-        # last step's end, a midpoint and an end; first[j]: step j's start row
-        times, first = [end], []
-        for t in t_nodes[i0:i1].tolist():
-            if t != end:
-                times.append(t)
-            first.append(len(times) - 1)
-            end = t + h
-            times += (t + hh, end)
-        R = len(times)
-        ph = phase[1:R, 0]
-        np.exp(np.multiply.outer(np.array(times[1:], dtype=complex), i_nu, out=ph), out=ph)
-        np.multiply(ph, s, out=phase[1:R, 1])
-        np.multiply(np.conj(ph, out=phase[1:R, 2]), -1j, out=phase[1:R, 2])
-        gn = (scale * np.sqrt(gamma[:, i0:i1 + 1])).T.tolist()  # (g1, g2) at each node
-        gm = g_h[i0:i1].tolist()
-        for j, r in enumerate(first):
-            ph0, phh, ph1 = rows[r:r + 3]
-            k1 = rhs(*ph0, a, x1, x2, *gn[j])
-            k2 = rhs(*phh, a + hh * k1[2], x1 + hh * k1[0], x2 + hh * k1[1], *gm[j])
-            k3 = rhs(*phh, a + hh * k2[2], x1 + hh * k2[0], x2 + hh * k2[1], *gm[j])
-            k4 = rhs(*ph1, a + h * k3[2], x1 + h * k3[0], x2 + h * k3[1], *gn[j + 1])
-            x1 = x1 + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-            x2 = x2 + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-            c[:, i0 + j + 1] = x1, x2
-            a = np.add(a, h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]), out=alphas[j])
-        photon[i0 + 1:i1 + 1] = sum_(np.abs(alphas[:i1 - i0]) ** 2, 1)
-        phase[0] = phase[R - 1]
+    worker = threading.Thread(target=_exp_rows, args=(todo, started, done))
+    worker.start()
+    try:
+        nxt = post(0, math.nan)
+        # the emitter amplitudes x1, x2 stay Python complex: numpy scalar
+        # arithmetic rounds the same but dispatches on every operation
+        for i0 in range(0, N, _BLOCK):
+            i1 = min(i0 + _BLOCK, N)
+            R, first, end = nxt
+            err = done.get()
+            if err is not None:
+                raise err
+            ph = phase[0, 1:R]
+            np.copyto(ph, spare[:R - 1])
+            np.multiply(ph, s, out=phase[1, 1:R])
+            np.multiply(np.conj(ph, out=phase[2, 1:R]), -1j, out=phase[2, 1:R])
+            if i1 < N:
+                nxt = post(i1, end)
+            gn = (scale * np.sqrt(gamma[:, i0:i1 + 1])).T.tolist()  # (g1, g2) at each node
+            gm = g_h[i0:i1].tolist()
+            for j, r in enumerate(first):
+                ph0, phh, ph1 = rows[r:r + 3]
+                k1 = rhs(*ph0, a, x1, x2, *gn[j])
+                k2 = rhs(*phh, a + hh * k1[2], x1 + hh * k1[0], x2 + hh * k1[1], *gm[j])
+                k3 = rhs(*phh, a + hh * k2[2], x1 + hh * k2[0], x2 + hh * k2[1], *gm[j])
+                k4 = rhs(*ph1, a + h * k3[2], x1 + h * k3[0], x2 + h * k3[1], *gn[j + 1])
+                x1 = x1 + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+                x2 = x2 + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+                c[:, i0 + j + 1] = x1, x2
+                a = np.add(a, h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]), out=alphas[j])
+            photon[i0 + 1:i1 + 1] = sum_(np.abs(alphas[:i1 - i0]) ** 2, 1)
+            phase[:, 0] = phase[:, R - 1]
+    finally:
+        todo.put(None)
+        worker.join()
 
     return WWTrajectory(grid=grid, c=c, echo_delay_steps=2 * grid.steps_per_tau,
                         photon=photon, modes=modes)

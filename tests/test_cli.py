@@ -423,3 +423,24 @@ def test_compare_outputs_commands_parse():
     for argv in tool.COMMANDS:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_time_criteria_items():
+    # tools/time_criteria.py times every acceptance criterion and a reduced
+    # `scan --ww`; a renamed criterion or a bad scan argument would drop or
+    # break an item without failing anything else
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("time_criteria",
+                                                  root / "tools" / "time_criteria.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    labels = [label for label, _ in tool.items([root, root])]
+    assert labels[:2] == ["criterion_01_mode_resolved_oracle_agreement",
+                          "criterion_02_series_solution_equivalence"]
+    assert len(labels) == 11 and labels[-1] == " ".join(tool.SCAN_ARGS)
+    assert build_parser().parse_args(tool.SCAN_ARGS).ww
+    r = tool.summary([{"s": 2.0, "ok": True}, {"s": 4.0, "ok": False}],
+                     [{"s": 1.0, "ok": True}, {"s": 5.0, "ok": True}])
+    assert (r["parent_median"], r["change_median"]) == (3.0, 3.0)
+    assert r["change_faster_rounds"] == "1 of 2"
+    assert r["passed"] == {"parent": False, "change": True}

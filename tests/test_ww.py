@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from shortlink.core import (constant_pulse, eval_pulse, make_grid, make_link, sampled_pulse,
                             sin2_pulse)
+from shortlink import ww
 from shortlink.dde import evolve_pair, evolve_single
 from shortlink.ww import _BLOCK, build_modes, evolve_ww, steps_for_modes, unitarity_defect
 
@@ -183,7 +186,8 @@ def _off_end_block_start(steps):
 # ramps that start at gamma = 0, a complex and a signed-zero start, off-resonant
 # Delta, a ladder clamped at the first mode, and one emitter; then runs of
 # fewer, as many and one more steps than a block, of several blocks, a 1-mode
-# ladder, and a block whose first step's start phases are made anew
+# ladder, a block whose first step's start phases are made anew, and the CLI's
+# 401-mode ladder over 38 blocks, ending mid-block
 @pytest.mark.parametrize("pulses, c0, delta_fsr, n_modes, steps, n_steps", [
     pytest.param(_stirap(0.5, 3.0), (1.0, 0.0), 50.0, 41, 160, 480,
                  id="pulses0-c00-50.0-41-160"),
@@ -200,6 +204,7 @@ def _off_end_block_start(steps):
     pytest.param(_stirap(0.5, 3.0), (0.6, 0.8j), 50.0, 1, 160, 480, id="1-mode"),
     pytest.param(_single(0.5, 3.0), (0.3 - 0.4j, -0.5 + 0.1j), 50.3, 41, 200,
                  _off_end_block_start(200), id="block-start-off-the-last-end"),
+    pytest.param(_stirap(0.5, 3.0), (0.6, 0.8j), 50.0, 401, 2400, 600, id="401-modes"),
 ])
 def test_matches_reference_route_bit_for_bit(pulses, c0, delta_fsr, n_modes, steps, n_steps):
     link = make_link(0.5, 1.0, delta_fsr * math.pi)
@@ -222,3 +227,109 @@ def test_runs_share_no_memory():
     for x, y in zip(kept, (a.c, a.photon)):
         assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
     assert np.array_equal(b.c.view(np.uint64), a.c.view(np.uint64))
+
+
+class _Numpy:
+    """numpy as `ww` sees it, with the given functions replaced."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _counted(fn, calls, fail_at=None, exc=None):
+    """fn, recording each call's thread in `calls`; call number `fail_at` raises exc."""
+    def wrapped(*args, **kwargs):
+        calls.append(threading.current_thread())
+        if len(calls) == fail_at:
+            raise exc
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def _outcome(fn):
+    """(fn()'s result or exception, threading.active_count() just before the
+    call less just after it), from a daemon thread given a timeout, so a hang
+    fails the test instead of blocking it."""
+    out = []
+
+    def run():
+        before = threading.active_count()
+        try:
+            got = fn()
+        except BaseException as exc:  # handed to the test
+            got = exc
+        out.append((got, threading.active_count() - before))
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    th.join(timeout=60)
+    assert not th.is_alive(), "evolve_ww did not return"
+    return out[0]
+
+
+class TestExpWorker:
+    """Each evolve_ww call makes its phase exponentials on one worker thread,
+    joined before the call returns or raises."""
+
+    def test_every_exp_call_runs_on_the_worker(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ww, "np", _Numpy(exp=_counted(np.exp, calls)))
+        (_, grid), threads_left = _outcome(
+            lambda: _run_pair(0.5, 50 * math.pi, 41, 1.0, steps=160))
+        assert threads_left == 0
+        assert grid.n_steps == 10 * _BLOCK and len(calls) == 10  # one per block
+        assert len(set(calls)) == 1 and calls[0] is not threading.current_thread()
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        calls, boom = [], ArithmeticError("exp failed")
+        monkeypatch.setattr(ww, "np", _Numpy(exp=_counted(np.exp, calls, 3, boom)))
+        got, threads_left = _outcome(lambda: _run_pair(0.5, 50 * math.pi, 41, 1.0, steps=160))
+        assert got is boom and len(calls) == 3
+        assert threads_left == 0
+
+    @pytest.mark.parametrize("exc", [ValueError("mid-run"), KeyboardInterrupt()],
+                             ids=["ValueError", "KeyboardInterrupt"])
+    def test_caller_exception_stops_the_worker(self, monkeypatch, exc):
+        # np.abs runs on the calling thread: once for the grid rule, once for
+        # the initial photon number and once per block, so call 4 fails at
+        # the second block's end, with the third block's exponentials posted
+        calls = []
+        monkeypatch.setattr(ww, "np", _Numpy(abs=_counted(np.abs, calls, 4, exc)))
+        got, threads_left = _outcome(lambda: _run_pair(0.5, 50 * math.pi, 41, 1.0, steps=160))
+        assert got is exc and len(calls) == 4
+        assert len(set(calls)) == 1
+        assert threads_left == 0
+
+    def test_concurrent_calls_keep_their_own_rows(self):
+        # more callers than cores, each with its worker, switching often:
+        # every result must equal the run made alone
+        args = [(0.5, 50 * math.pi, 41, 3.0, 160), (0.3, 50.3 * math.pi, 61, 2.0, 200)]
+        expected = [_run_pair(*a[:4], steps=a[4])[0] for a in args]
+        wrong = []
+
+        def caller(k):
+            try:
+                for i in [k % 2, (k + 1) % 2] * 3:
+                    got = _run_pair(*args[i][:4], steps=args[i][4])[0]
+                    for x, y in ((got.c, expected[i].c), (got.photon, expected[i].photon)):
+                        if not np.array_equal(x.view(np.uint64), y.view(np.uint64)):
+                            wrong.append(i)
+            except Exception as exc:
+                wrong.append(exc)
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(3)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
+        assert threading.active_count() == before

@@ -64,10 +64,12 @@ COMMANDS = [
     ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww"],
     ["simulate", "--gamma-tau", "0.1", "--ww", "--delta-fsr", "50.3"],
     # a 1-mode ladder; a run ending mid-block (4 812 oracle steps); a t_end
-    # off the base grid, whose oracle grid must end on the base grid's node
+    # off the base grid, whose oracle grid must end on the base grid's node;
+    # a one-block run (10 oracle steps), so no next block's rows are made
     ["simulate", "--gamma-tau", "0.1", "--ww", "--n-modes", "1"],
     ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww", "--t-end", "2.005"],
     ["simulate", "--gamma-tau", "0.1", "--ww", "--t-end", "0.0501"],
+    ["simulate", "--gamma-tau", "0.1", "--ww", "--n-modes", "3", "--t-end", "0.05"],
     ["simulate", "--gamma-tau", "3000", "--t-end", "3", "--delta-fsr", "0"],
     ["simulate", "--gamma-tau", "0.1", "--t-end", "1e-12"],
     # 40 000 steps, 200 blocks of per-block coefficient lists
