@@ -28,31 +28,27 @@ import numpy as np
 
 from .core import LinkParams, TWO_PI, _check_finite, make_link, phase_factor
 
-_N_MAX_HARD = 500
+_N_MAX = 500  # echo generations the series sums at most
 
 
 @dataclass(frozen=True)
 class SeriesParams:
     """Inputs of the echo-series solution.
 
-    gamma: decay rate; delay: echo period; phi: per-echo phase.
-    n_max caps the number of echo generations.  The ladder e^{i n phi},
-    n = 0, 1, ..., is kept on the instance, grown on first use to the
-    largest order asked for; equality, hashing and repr ignore it.
+    gamma: decay rate; delay: echo period; phi: per-echo phase.  The ladder
+    e^{i n phi}, n = 0, 1, ..., is kept on the instance, grown on first use
+    to the largest order asked for; equality, hashing and repr ignore it.
     """
 
     gamma: float
     delay: float
     phi: float
-    n_max: int = _N_MAX_HARD
     _phases: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (all(map(math.isfinite, (self.gamma, self.delay, self.phi)))
                 and self.delay > 0 and self.gamma >= 0):
             raise ValueError("need finite gamma, delay and phi, delay > 0 and gamma >= 0")
-        if not (1 <= self.n_max <= _N_MAX_HARD):
-            raise ValueError(f"n_max must be in [1, {_N_MAX_HARD}]")
 
 
 # per echo order n, the recurrence factors (n - m, m (m + 1)) as floats for
@@ -89,9 +85,9 @@ def series_solution(p: SeriesParams, t: float) -> complex:
         raise ValueError(f"gamma*t = {g * t} is outside the series solution's "
                          "gamma*t < 40 domain")
     n_t = int(math.floor(t / d + 1e-12))
-    if n_t > p.n_max:
+    if n_t > _N_MAX:
         raise ValueError(
-            f"t/delay = {t / d:.1f} exceeds the echo truncation order n_max={p.n_max}"
+            f"t/delay = {t / d:.1f} exceeds the echo truncation order n_max={_N_MAX}"
         )
     # grown tables are replaced, never mutated, so a reader sees a whole one
     phases, coeffs = p._phases, _RECURRENCE

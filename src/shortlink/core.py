@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +58,8 @@ def make_link(gamma0: float, tau: float, delta: float) -> LinkParams:
         raise ValueError(f"tau must be > 0, got {tau}")
     if gamma0 < 0:
         raise ValueError(f"gamma0 must be >= 0, got {gamma0}")
+    # 2*phi, the round trip's phase, overflows for some finite delta; fmod(inf) raises
+    _check_finite("round-trip phase 2*delta*tau", 2.0 * (float(delta) * float(tau)))
     return LinkParams(gamma0=float(gamma0), tau=float(tau), delta=float(delta))
 
 
@@ -70,7 +72,7 @@ def phase_factor(phi: float, n: int = 1) -> complex:
 # Coupling pulses
 # ---------------------------------------------------------------------------
 
-_SHAPES = ("constant", "sin2", "tanh", "sampled")
+_SHAPES = ("constant", "sin2", "tanh")
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,6 @@ class PulseProfile:
       constant: params {gamma0}
       sin2:     params {gamma0, duration}; gamma0*sin^2(pi*(t-t_start)/(2*duration))
       tanh:     params {gamma0, center};   gamma0/2*(1+tanh(gamma0*(t-center)/2))
-      sampled:  linear interpolation of (times, values), clamped at >= 0
 
     The profile vanishes outside the closed support interval.  If
     mirror_about is set, the base shape is evaluated at (2*mirror_about - t)
@@ -92,8 +93,6 @@ class PulseProfile:
     params: dict
     support: tuple
     mirror_about: float | None = None
-    times: np.ndarray | None = field(default=None, repr=False)
-    values: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.shape not in _SHAPES:
@@ -103,17 +102,7 @@ class PulseProfile:
             raise ValueError(f"invalid support {self.support!r}")
         if self.mirror_about is not None:
             _check_finite("mirror_about", self.mirror_about)
-        if self.shape == "sampled":
-            t = np.asarray(self.times, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-                raise ValueError("sampled pulse needs matching 1-d times/values")
-            if np.any(np.diff(t) <= 0):
-                raise ValueError("sampled pulse time axis must be strictly increasing")
-            object.__setattr__(self, "times", t)
-            object.__setattr__(self, "values", v)
-            return
-        # these keep every analytic sample in [0, gamma0] (see eval_pulse)
+        # these keep every sample in [0, gamma0] (see eval_pulse)
         g0 = self.params["gamma0"]
         _check_finite("gamma0", g0)
         if g0 < 0:
@@ -125,12 +114,6 @@ class PulseProfile:
         elif self.shape == "tanh":
             _check_finite("tanh center", self.params["center"])
 
-    @property
-    def gamma_max(self) -> float:
-        if self.shape == "sampled":
-            return float(max(np.max(self.values), 0.0))
-        return float(self.params["gamma0"])
-
 
 def eval_pulse(p: PulseProfile, t):
     """Evaluate a pulse at time(s) t.  Pure; 0 outside the support.
@@ -139,7 +122,7 @@ def eval_pulse(p: PulseProfile, t):
     order of g0 * sin(0.5*pi*(te - a)/T)**2 and
     0.5*g0 * (1 + tanh(0.5*g0 * (te - tc))).  Their checked parameters
     keep sin^2 and 1 + tanh in [0, 1] and [0, 2], so every sample lies in
-    [0, gamma0]: only `sampled` needs clamping.
+    [0, gamma0] with no clamp.
     """
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
@@ -156,15 +139,13 @@ def eval_pulse(p: PulseProfile, t):
         np.sin(g, out=g)
         np.square(g, out=g)
         g *= p.params["gamma0"]
-    elif p.shape == "tanh":
+    else:  # tanh
         half_g0 = 0.5 * p.params["gamma0"]
         g = te - p.params["center"]
         g *= half_g0
         np.tanh(g, out=g)
         g += 1.0
         g *= half_g0
-    else:  # sampled
-        g = np.clip(np.interp(te, p.times, p.values, left=0.0, right=0.0), 0.0, p.gamma_max)
     np.copyto(g, 0.0, where=outside)
     return float(g[0]) if scalar else g
 
@@ -193,13 +174,6 @@ def tanh_pulse(gamma0: float, center: float, support, mirror_about=None) -> Puls
         tuple(support),
         mirror_about=mirror_about,
     )
-
-
-def sampled_pulse(times, values, support=None) -> PulseProfile:
-    times = np.asarray(times, dtype=float)
-    if support is None:
-        support = (float(times[0]), float(times[-1]))
-    return PulseProfile("sampled", {}, tuple(support), times=times, values=np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,15 @@ hold the only copies of the fidelity and loss formulas.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LinkParams, PulseProfile, Trajectory, constant_pulse, eval_pulse,
-                   make_grid, sampled_pulse, sin2_pulse, tanh_pulse)
+from .core import (LinkParams, Trajectory, constant_pulse, eval_pulse, make_grid,
+                   sin2_pulse, tanh_pulse)
 from .dde import evolve_pair, evolve_single
 
 KINDS = ("swap", "stirap", "czkm")
-
-_DENOM_FLOOR = 1e-12
 
 
 def check_kind(kind: str) -> None:
@@ -70,37 +67,6 @@ def make_pulses(spec: ProtocolSpec, link: LinkParams):
         p2 = tanh_pulse(g0, sender_center, (0.0, T),
                         mirror_about=t_c - 0.5 * tau)
         return p1, p2
-
-
-def shaped_pulse(times, density, gamma_cap: float, t0: float | None = None) -> PulseProfile:
-    """Coupling that emits a photon with the given |psi(t)|^2 envelope.
-
-    gamma(t) = |psi(t)|^2 / (1 - integral_{t0}^t |psi|^2), trapezoid
-    cumulative on the sample grid.  The denominator is floored at 1e-12 and
-    the result clamped at gamma_cap; either event raises a saturation
-    warning since the exact dark-state condition diverges as the wavepacket
-    norm approaches one.
-    """
-    t = np.asarray(times, dtype=float)
-    rho = np.asarray(density, dtype=float)
-    if t.ndim != 1 or t.shape != rho.shape or t.size < 2:
-        raise ValueError("need matching 1-d times/density samples")
-    if np.any(rho < 0):
-        raise ValueError("|psi|^2 must be nonnegative")
-    if t0 is not None:
-        rho = np.where(t < t0, 0.0, rho)
-    cum = np.concatenate([[0.0], np.cumsum(np.diff(t) * (rho[1:] + rho[:-1]) / 2.0)])
-    if cum[-1] > 1.0 + 1e-9:
-        raise ValueError(f"wavepacket norm {cum[-1]:.6f} exceeds 1")
-    denom = 1.0 - cum
-    floored = denom < _DENOM_FLOOR
-    gamma = rho / np.maximum(denom, _DENOM_FLOOR)
-    capped = gamma > gamma_cap
-    if np.any(floored) or np.any(capped):
-        warnings.warn("shaped pulse saturated: wavepacket norm reaches 1 "
-                      "within the sample window; coupling clamped at the cap",
-                      RuntimeWarning, stacklevel=2)
-    return sampled_pulse(t, np.minimum(gamma, gamma_cap))
 
 
 def fidelity(traj: Trajectory, T: float) -> float:

@@ -32,14 +32,13 @@ class TestSeries:
             assert abs(hi - lo) < 1e-7
 
     def test_truncation_guard(self):
-        p = SeriesParams(gamma=0.1, delay=1.0, phi=0.0, n_max=3)
-        with pytest.raises(ValueError):
-            series_solution(p, 5.0)
+        # 600 echo generations at gamma*t = 0.6, well inside the gamma*t domain
+        p = SeriesParams(gamma=0.01, delay=0.1, phi=0.0)
+        with pytest.raises(ValueError, match=r"^t/delay = 600\.0 exceeds the echo truncation "
+                                             r"order n_max=500$"):
+            series_solution(p, 60.0)
         with pytest.raises(ValueError):
             series_solution(p, -0.1)
-        for n_max in (0, 501):
-            with pytest.raises(ValueError, match=r"^n_max must be in \[1, 500\]$"):
-                SeriesParams(gamma=0.1, delay=1.0, phi=0.0, n_max=n_max)
 
     def test_non_finite_parameters_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -60,16 +59,17 @@ class TestSeries:
     def test_deep_echo_tail_stays_bounded(self):
         # hundreds of echo generations at moderate gamma*t: the merged
         # per-generation exponential keeps every partial factor finite
-        p = SeriesParams(gamma=0.05, delay=1.0, phi=1.0, n_max=400)
+        p = SeriesParams(gamma=0.05, delay=1.0, phi=1.0)
         val = series_solution(p, 100.5)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
         assert abs(val) <= 1.0 + 1e-9
 
 
-def _reference_series(p, t):
+def _reference_series(p, t, n_max=500):
     """The series loop as first written (numpy scalars when t is one, a
     phase_factor call and integer recurrence factors per term): the
-    reference route series_solution must match bit for bit."""
+    reference route series_solution must match bit for bit.  n_max was a
+    field of p; series_solution's is the constant 500."""
     if t < 0:
         raise ValueError("series solution is defined for t >= 0")
     g, d = p.gamma, p.delay
@@ -77,9 +77,9 @@ def _reference_series(p, t):
         raise ValueError(f"gamma*t = {g * t} is outside the series solution's "
                          "gamma*t < 40 domain")
     n_t = int(math.floor(t / d + 1e-12))
-    if n_t > p.n_max:
+    if n_t > n_max:
         raise ValueError(
-            f"t/delay = {t / d:.1f} exceeds the echo truncation order n_max={p.n_max}"
+            f"t/delay = {t / d:.1f} exceeds the echo truncation order n_max={n_max}"
         )
     total = complex(math.exp(-0.5 * g * t))
     for n in range(1, n_t + 1):
@@ -107,7 +107,9 @@ def _series_outcome(f, p, t):
 
 
 class TestSeriesBitIdentity:
-    CASES = [  # (gamma, delay, phi, n_max, times)
+    # (gamma, delay, phi, n_max, times); n_max is the reference route's
+    # truncation order, which none of a case's times exceed
+    CASES = [
         (0.7, 1.0, 2.0, 500, list(make_grid(1.0, 10.0, 40).times())),
         (1.3, 1.0, 0.4, 500, [0, 1, 2, 3, 7, 1.0, 4.0, 4.5, 5 - 1e-13, 5 + 1e-13]),
         (0.9, 1.0, 1.1, 1, [0.0, 0.5, 1.0, 1.5, np.float64(1.999)]),
@@ -121,18 +123,22 @@ class TestSeriesBitIdentity:
 
     @pytest.mark.parametrize("gamma, delay, phi, n_max, times", CASES)
     def test_matches_reference_route(self, gamma, delay, phi, n_max, times):
-        p = SeriesParams(gamma=gamma, delay=delay, phi=phi, n_max=n_max)
+        p = SeriesParams(gamma=gamma, delay=delay, phi=phi)
+        reference = lambda p, t: _reference_series(p, t, n_max)
         for t in times:
             for tt in {type(t): t, float: float(t), np.float64: np.float64(t)}.values():
                 got = _series_outcome(series_solution, p, tt)
-                assert got == _series_outcome(_reference_series, p, tt), (t, type(tt))
+                assert got == _series_outcome(reference, p, tt), (t, type(tt))
                 assert got[0] is complex
 
     def test_errors_match_reference_route(self):
-        p = SeriesParams(gamma=0.5, delay=1.0, phi=0.3, n_max=50)
+        shallow = SeriesParams(gamma=0.5, delay=1.0, phi=0.3)
+        deep = SeriesParams(gamma=0.01, delay=0.1, phi=0.3)  # past 500 generations at gamma*t < 1
         above = math.nextafter(80.0, math.inf)
-        for t in (-0.1, np.float64(-0.1), -1, math.nan, np.float64(math.nan), math.inf,
-                  -math.inf, above, np.float64(above), 51.0, np.float64(60.5), 70, "1.5"):
+        cases = [(shallow, t) for t in (-0.1, np.float64(-0.1), -1, math.nan, np.float64(math.nan),
+                                        math.inf, -math.inf, above, np.float64(above), "1.5")]
+        cases += [(deep, t) for t in (50.1, np.float64(60.5), 70)]
+        for p, t in cases:
             got = _series_outcome(series_solution, p, t)
             assert got == _series_outcome(_reference_series, p, t), repr(t)
             assert got[0] in (ValueError, TypeError)

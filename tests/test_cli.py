@@ -101,6 +101,13 @@ class TestSimulate:
         assert capsys.readouterr().err.splitlines() == [
             "error: t_end=1e-12 rounds to zero steps of h=0.005"]
         assert not (outdir / "x.csv").exists()
+        # a finite Delta whose round-trip phase overflows once ended in
+        # "error: math domain error"
+        assert run("simulate", "--gamma-tau", "0.1", "--delta-fsr", "5e307", "--t-end", "1",
+                   "--out", "x.csv") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: round-trip phase 2*delta*tau must be finite, got inf"]
+        assert not (outdir / "x.csv").exists()
 
 
 class TestSpectrum:
@@ -123,6 +130,15 @@ class TestSpectrum:
         doc = json.loads((outdir / "spec.json").read_text())
         assert set(doc) == {"meta", "heatmap", "eigenfrequencies"}
         assert len(doc["heatmap"]["rows"]) == 51
+
+    def test_uncoupled_eigenfrequencies_are_the_bare_ladder(self, outdir):
+        # at gamma = 0 the eigenfrequencies are the link's modes k*FSR in the
+        # window and the emitter line Delta, listed once where it sits on a mode
+        assert run("spectrum", "--gamma-tau", "0", "--delta-steps", "3",
+                   "--omega-steps", "11", "--out", "bare.csv") == 0
+        lines = (outdir / "bare.csv.eigen.csv").read_text().splitlines()
+        assert lines[3:] == ["delta_fsr,lambda_fsr", "50,50", "50,51",
+                             "50.5,50", "50.5,50.5", "50.5,51", "51,50", "51,51"]
 
     def test_heatmap_streamed_in_bounded_memory(self, outdir):
         # the 41 x 2001 table is never held (as rows, lines and one string it

@@ -13,7 +13,7 @@ import pytest
 from shortlink import dde
 from shortlink.analytic import SeriesParams, series_solution
 from shortlink.core import (NON_FINITE, TimeGrid, constant_pulse, eval_pulse, make_grid,
-                            make_link, phase_factor, sampled_pulse, sin2_pulse, tanh_pulse)
+                            make_link, phase_factor, sin2_pulse, tanh_pulse)
 from shortlink.dde import evolve_pair, evolve_single
 from shortlink.ww import build_modes, evolve_ww
 
@@ -270,7 +270,7 @@ class TestResume:
             assert_same_bits(w.c, c.c)
             assert_same_bits(wb, cb)
 
-    def test_changed_sample_stops_reuse(self, rk4_steps):
+    def test_changed_sample_stops_reuse(self, rk4_steps, sampled):
         # pulses sampled at the nodes and half nodes; sample m = 2j changes
         # node j, m = 2j + 1 half node j, and the run resumes from the last
         # block boundary K with nodes [0, K] and half nodes [0, K) unchanged
@@ -281,8 +281,7 @@ class TestResume:
         for m in (194, 240, 241, 242, 281, 400):
             w = v.copy()
             w[m] += 1e-3
-            run = lambda g: evolve_pair(link, sampled_pulse(t, g), sampled_pulse(t, g),
-                                        (0.6, 0.8), grid)
+            run = lambda g: evolve_pair(link, sampled(t, g), sampled(t, g), (0.6, 0.8), grid)
             c, cb = cold(lambda: ran(lambda: run(w)))
             run(v)
             rk4_steps[0] = 0
@@ -324,7 +323,7 @@ class TestResume:
         assert not any(th.is_alive() for th in threads)
         assert wrong == []
 
-    def test_failed_run_releases_the_stored_run(self, rk4_steps):
+    def test_failed_run_releases_the_stored_run(self, rk4_steps, sampled):
         # a run reads the stored run of its emitter count by taking it out:
         # one that resumes from it (K = 60 of 120 steps) and then diverges
         # stores nothing, so the next run starts cold and equals a cold run
@@ -333,8 +332,7 @@ class TestResume:
         t = np.arange(2 * grid.n_steps + 1) * (0.5 * grid.h)
         calm = 0.5 + 0.1 * np.sin(t)
         wild = np.where(t < 4.0, calm, 3000.0)  # gamma*h = 150 from step 80 on
-        run = lambda g: evolve_pair(link, sampled_pulse(t, g), sampled_pulse(t, g),
-                                    (0.6, 0.8), grid)
+        run = lambda g: evolve_pair(link, sampled(t, g), sampled(t, g), (0.6, 0.8), grid)
         expected, expected_b = cold(lambda: ran(lambda: run(calm)))
         rk4_steps[0] = 0
         with pytest.raises(RuntimeError, match="grid too coarse"):
@@ -488,17 +486,19 @@ def test_memory_split_marks_each_stage(tmp_path, monkeypatch):
     (2, lambda link, pulses, c0, grid: evolve_pair(link, *pulses, c0, grid)),
     (2, lambda link, pulses, c0, grid: evolve_ww(link, build_modes(link, 5), pulses, c0, grid)),
 ], ids=["evolve_single", "evolve_pair", "evolve_ww"])
-def test_inputs_fail_before_the_first_step(emitters, run, rk4_steps):
+def test_inputs_fail_before_the_first_step(emitters, run, rk4_steps, sampled):
     # one front end, core.run_inputs, checks every integrator's inputs: a NaN
     # or inf coupling sample fails before the method of steps takes an RK4
     # step, and a bad c0 gives one message (an overflowing norm included)
     link = make_link(0.5, 1.0, 0.0)
     grid = make_grid(1.0, 2.0, 40)
     good = constant_pulse(0.5, (0.0, 2.0))
-    for bad in (math.nan, math.inf):
-        pulses = (sampled_pulse([0.0, 2.0], [0.5, bad]), good)
+    mutated = constant_pulse(0.5, (0.0, 2.0))
+    mutated.params["gamma0"] = math.nan  # a frozen pulse's params dict still changes
+    for bad in (sampled([0.0, 2.0], [0.5, math.nan]), sampled([0.0, 2.0], [0.5, math.inf]),
+                mutated):
         with pytest.raises(ValueError, match=f"^{re.escape(NON_FINITE)}$"):
-            run(link, pulses, (1.0, 0.0), grid)
+            run(link, (bad, good), (1.0, 0.0), grid)
     assert rk4_steps[0] == 0
     for c0 in ((math.nan, 0.0), (complex(0.0, math.inf), 0.0), (1.2, 0.0), (1e200, 0.0)):
         got = tuple(complex(z) for z in c0[:emitters])
@@ -539,8 +539,8 @@ class TestSingleEmitter:
         assert order1 > 3.5 and order2 > 3.5
 
     def test_non_finite_input_rejected(self):
-        # an analytic pulse fails on construction; a sampled one, and c0, fail
-        # in the integrators' front end (test_inputs_fail_before_the_first_step)
+        # a pulse fails on construction; non-finite samples, and c0, fail in
+        # the integrators' front end (test_inputs_fail_before_the_first_step)
         with pytest.raises(ValueError, match="^gamma0 must be finite, got nan$"):
             constant_pulse(math.nan, (0.0, 3.0))
 

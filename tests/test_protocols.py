@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 
 import shortlink.protocols
 from shortlink.core import eval_pulse, make_grid, make_link
@@ -11,7 +10,7 @@ from shortlink.dde import evolve_pair
 from shortlink.protocols import (DarkBrightState, ProtocolSpec, czkm_bound,
                                  czkm_exact_error, dark_bright, fidelity,
                                  loss_error, make_pulses, photon_integral,
-                                 run_protocol, shaped_pulse)
+                                 run_protocol)
 from shortlink.sweep import loss_scan
 
 TAU = 1.0
@@ -69,68 +68,6 @@ class TestMakePulses:
         # NaN fails the comparisons, so it is rejected with the rest
         with pytest.raises(ValueError, match="^need gamma0 > 0 and duration > 0$"):
             ProtocolSpec("swap", gamma0, T)
-
-
-class TestShapedPulse:
-    def test_sech_density_recovers_tanh(self):
-        g0 = 0.5
-        t = np.linspace(-40.0, 40.0, 8001)
-        rho = 0.25 * g0 / np.cosh(0.5 * g0 * t) ** 2
-        pulse = shaped_pulse(t, rho, gamma_cap=g0)
-        interior = t[(t > -20.0) & (t < 10.0)]
-        want = 0.5 * g0 * (1.0 + np.tanh(0.5 * g0 * interior))
-        got = eval_pulse(pulse, interior)
-        assert np.max(np.abs(got - want)) < 1e-4
-
-    def test_zero_density(self):
-        t = np.linspace(0.0, 5.0, 50)
-        pulse = shaped_pulse(t, np.zeros_like(t), gamma_cap=1.0)
-        assert np.max(eval_pulse(pulse, t)) == 0.0
-
-    def test_bad_density_rejected(self):
-        t = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ValueError, match="nonnegative"):
-            shaped_pulse(t, np.array([0.1, 0.2, -0.1, 0.0, 0.0]), gamma_cap=1.0)
-        for times, rho in ((t, np.zeros(4)), (t[:1], np.zeros(1)),
-                           (np.zeros((2, 2)), np.zeros((2, 2)))):
-            with pytest.raises(ValueError, match="^need matching 1-d times/density samples$"):
-                shaped_pulse(times, rho, gamma_cap=1.0)
-
-    def test_norm_overflow_rejected(self):
-        t = np.linspace(0.0, 5.0, 500)
-        with pytest.raises(ValueError, match="norm"):
-            shaped_pulse(t, np.full_like(t, 0.5), gamma_cap=1.0)
-
-    def test_cumsum_matches_cumulative_trapezoid(self):
-        rng = np.random.default_rng(3)
-        for n in rng.integers(2, 3000, 200):
-            t = np.cumsum(rng.uniform(1e-3, 1.0, n))
-            y = rng.uniform(0.0, 2.0, n)
-            ours = np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)
-            assert np.array_equal(ours, cumulative_trapezoid(y, t))
-
-    @pytest.mark.filterwarnings("ignore:shaped pulse saturated")
-    def test_matches_scipy_route(self):
-        # gamma as shaped_pulse computed it with scipy's cumulative_trapezoid
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            t = np.sort(rng.uniform(-30.0, 30.0, int(rng.integers(50, 2000))))
-            g0 = rng.uniform(0.1, 2.0)
-            rho = rng.uniform(0.5, 0.999) * 0.25 * g0 / np.cosh(0.5 * g0 * t) ** 2
-            for t0 in (None, float(rng.uniform(-10.0, 10.0))):
-                r = rho if t0 is None else np.where(t < t0, 0.0, rho)
-                cum = np.concatenate([[0.0], cumulative_trapezoid(r, t)])
-                want = np.minimum(r / np.maximum(1.0 - cum, 1e-12), g0)
-                pulse = shaped_pulse(t, rho, gamma_cap=g0, t0=t0)
-                assert np.array_equal(pulse.values, want)
-
-    def test_saturation_warns_and_caps(self):
-        # density integrating to ~1 drives the denominator to the floor
-        t = np.linspace(0.0, 1.0, 2001)
-        rho = np.full_like(t, 1.0 - 1e-12)
-        with pytest.warns(RuntimeWarning, match="saturated"):
-            pulse = shaped_pulse(t, rho, gamma_cap=5.0)
-        assert pulse.gamma_max <= 5.0
 
 
 class TestCZKMError:

@@ -57,6 +57,7 @@ COMMANDS = [
      "--omega-steps", "33"],
     ["spectrum", "--gamma-tau", "0.15", "--broadening", "0", "--delta-steps", "3",
      "--omega-steps", "51"],
+    ["spectrum", "--gamma-tau", "0", "--delta-steps", "2", "--omega-steps", "11"],  # bare ladder
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "2", "--omega-steps", "11",
      "--delta-fsr", "-inf"],
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "2", "--omega-steps", "11",

@@ -1,24 +1,27 @@
-"""Print every statement of src/shortlink that no known input executes.
+"""Print every statement of src/shortlink that the product, and then the tests, leave unrun.
 
     python3 tools/unreached.py
 
 It covers the checkout it sits in.  With `sys.settrace` (and
 `threading.settrace` for the tests' threads) installed before shortlink
-is imported, it runs, in one process:
+is imported, it runs, in one process, first the product runs:
 
-- the tier-1 suite (`pytest tests`);
 - one pass of each benchmark workload in `perfbench/workloads.py` at its
   default seed;
 - every CLI command in `tools/compare_outputs.py`'s COMMANDS;
-- every demo script in its DEMOS, as `__main__`, its prints on stderr.
+- every demo script in its DEMOS, as `__main__`, its prints on stderr;
 
-Outputs go to a temporary SHORTLINK_OUTDIR.  It then prints, per module,
-`path:line: source` for each statement line that none of them executed,
-and the count.  A statement counts as a line that starts an `ast`
-statement and has bytecode; code that tests reach only through a
-subprocess is not seen.  A code object stops being traced once every
-statement of it has run, so the hot loops run at almost full speed; a
-run takes about 1.5 minutes on a 2-core host.
+each in a fresh temporary SHORTLINK_OUTDIR, which is also its working
+directory; both are restored before the tier-1 suite (`pytest tests`)
+runs last.  It then prints two lists, per module `path:line: source` for
+each statement line and the count: those the product runs left unrun,
+then those still unrun after the tests too.  A statement the first list
+names and the second does not is reached by the tests alone: an input
+check, an error path, or code the product does not need.  A statement
+counts as a line that starts an `ast` statement and has bytecode; code
+that tests reach only through a subprocess is not seen.  A code object
+stops being traced once every statement of it has run, so the hot loops
+run at almost full speed; a run takes about 1.5 minutes on a 2-core host.
 """
 
 from __future__ import annotations
@@ -91,12 +94,8 @@ def run_demo(name: str) -> int:
     return 0
 
 
-def run_inputs() -> None:
-    """Everything whose coverage counts, each CLI run in a fresh output directory."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
-    import pytest
-    with contextlib.redirect_stdout(sys.stderr):
-        pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+def run_product() -> None:
+    """Every workload pass, CLI command and demo, each in a fresh output directory."""
     import compare_outputs
     import workloads
     from shortlink import cli
@@ -106,38 +105,56 @@ def run_inputs() -> None:
     runs += [(" ".join(argv), lambda argv=argv: cli.main(list(argv)))
              for argv in compare_outputs.COMMANDS]
     runs += [(f"demo {name}", lambda name=name: run_demo(name)) for name in compare_outputs.DEMOS]
-    cwd = os.getcwd()
-    for label, run in runs:
-        with tempfile.TemporaryDirectory(prefix="unreached-") as out:
-            os.environ["SHORTLINK_OUTDIR"] = out
-            os.chdir(out)
-            try:
-                rc = run()
-            except SystemExit as exc:  # the CLI refuses some flag combinations this way
-                rc = exc.code
-            finally:
-                os.chdir(cwd)
+    cwd, outdir = os.getcwd(), os.environ.get("SHORTLINK_OUTDIR")
+    try:
+        for label, run in runs:
+            with tempfile.TemporaryDirectory(prefix="unreached-") as out:
+                os.environ["SHORTLINK_OUTDIR"] = out
+                os.chdir(out)
+                try:
+                    rc = run()
+                except SystemExit as exc:  # the CLI refuses some flag combinations this way
+                    rc = exc.code
+                finally:
+                    os.chdir(cwd)
             print(f"exit {rc}: {label}", file=sys.stderr, flush=True)
+    finally:
+        if outdir is None:
+            os.environ.pop("SHORTLINK_OUTDIR", None)
+        else:
+            os.environ["SHORTLINK_OUTDIR"] = outdir
+
+
+def report(tracer: Tracer, files, seen, title: str) -> None:
+    """Each statement of files not in seen ({file: lines}), then their count."""
+    print(f"## unreached after {title}")
+    total = 0
+    for f in files:
+        missed = [(n, s) for n, s in tracer.statements[str(f)].items() if n not in seen[str(f)]]
+        total += len(missed)
+        for n, s in missed:
+            print(f"{f.relative_to(ROOT)}:{n}: {s}")
+    print(f"{total} statement(s) unreached after {title}")
 
 
 def main() -> int:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
     files = sorted(SRC.glob("*.py"))
     tracer = Tracer(files)
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        run_inputs()
+        run_product()
+        product = {f: set(lines) for f, lines in tracer.seen.items()}
+        import pytest
+        with contextlib.redirect_stdout(sys.stderr):
+            pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    total = 0
-    for f in files:
-        seen = tracer.seen[str(f)]
-        missed = [(n, s) for n, s in tracer.statements[str(f)].items() if n not in seen]
-        total += len(missed)
-        for n, s in missed:
-            print(f"{f.relative_to(ROOT)}:{n}: {s}")
-    print(f"{total} statement(s) unreached")
+    report(tracer, files, product, "the product runs")
+    print()
+    report(tracer, files, tracer.seen, "the product runs and the tier-1 suite")
     return 0
 
 
