@@ -65,6 +65,8 @@ def make_link(gamma0: float, tau: float, delta: float) -> LinkParams:
 
 def phase_factor(phi: float, n: int = 1) -> complex:
     """exp(i*n*phi) computed from the argument reduced mod 2*pi."""
+    if math.isinf(n * phi):  # math.fmod(inf, 2 pi) raises "math domain error"
+        raise ValueError(f"phase n*phi = {n}*{phi!r} overflows to {n * phi}")
     return cmath.exp(1j * math.fmod(n * phi, TWO_PI))
 
 
@@ -154,16 +156,10 @@ def constant_pulse(gamma0: float, support) -> PulseProfile:
     return PulseProfile("constant", {"gamma0": float(gamma0)}, tuple(support))
 
 
-def sin2_pulse(gamma0: float, duration: float, support=None, mirror=False) -> PulseProfile:
+def sin2_pulse(gamma0: float, duration: float, mirror=False) -> PulseProfile:
     """gamma0*sin^2(pi*t/(2*T)) on [0, T]; mirror gives gamma(T - t)."""
-    if support is None:
-        support = (0.0, duration)
-    return PulseProfile(
-        "sin2",
-        {"gamma0": float(gamma0), "duration": float(duration)},
-        tuple(support),
-        mirror_about=0.5 * duration if mirror else None,
-    )
+    return PulseProfile("sin2", {"gamma0": float(gamma0), "duration": float(duration)},
+                        (0.0, duration), mirror_about=0.5 * duration if mirror else None)
 
 
 def tanh_pulse(gamma0: float, center: float, support, mirror_about=None) -> PulseProfile:

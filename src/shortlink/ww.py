@@ -156,14 +156,21 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
         started.get()
         return R, first, end
 
-    def rhs(rows, back, a, x1, x2, g1, g2):
-        # returns (dc1, dc2, dalpha).  Since s = +-1, (s ph) a = s (ph a)
-        # exactly, and the forcing g1 x1 + g2 x2 s takes two values; the
-        # factors 1.0 and -1.0 round signed zeros as numpy's x * s does
-        sa1, sa2 = sum_(rows * a, 1).tolist()
+    # this call's own step buffers (threads share none): rows * a, the four
+    # stages' dalpha, a stage's alpha then the update's sum, the forcing's values
+    mul, add = np.multiply, np.add  # out positional: a faster dispatch than out=
+    pa = np.empty((2, modes.n_modes), dtype=complex)
+    k1, k2, k3, k4 = np.empty((4, modes.n_modes), dtype=complex)
+    stage, fv = np.empty(modes.n_modes, dtype=complex), np.empty(2, dtype=complex)
+    def rhs(rows, back, a, x1, x2, g1, g2, da):
+        # returns (dc1, dc2), dalpha into da.  Since s = +-1, (s ph) a = s (ph a)
+        # exactly, and the forcing g1 x1 + g2 x2 s takes two values (1.0 and -1.0
+        # round signed zeros as x * s does); take's "clip" fills da with no copy
+        sa1, sa2 = sum_(mul(rows, a, pa), 1).tolist()
         f1, f2 = g1 * x1, g2 * x2
-        force = np.array((f1 + f2 * 1.0, f1 + f2 * -1.0))[odd]
-        return -1j * g1 * sa1, -1j * g2 * sa2, back * force
+        fv[0], fv[1] = f1 + f2 * 1.0, f1 + f2 * -1.0
+        mul(back, fv.take(odd, None, da, "clip"), da)
+        return -1j * g1 * sa1, -1j * g2 * sa2
 
     worker = threading.Thread(target=_exp_rows, args=(todo, started, done))
     worker.start()
@@ -185,16 +192,23 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
                 nxt = post(i1, end)
             gn = (scale * np.sqrt(gamma[:, i0:i1 + 1])).T.tolist()  # (g1, g2) at each node
             gm = g_h[i0:i1].tolist()
+            xs1, xs2 = [], []
             for j, r in enumerate(first):
                 ph0, phh, ph1 = rows[r:r + 3]
-                k1 = rhs(*ph0, a, x1, x2, *gn[j])
-                k2 = rhs(*phh, a + hh * k1[2], x1 + hh * k1[0], x2 + hh * k1[1], *gm[j])
-                k3 = rhs(*phh, a + hh * k2[2], x1 + hh * k2[0], x2 + hh * k2[1], *gm[j])
-                k4 = rhs(*ph1, a + h * k3[2], x1 + h * k3[0], x2 + h * k3[1], *gn[j + 1])
-                x1 = x1 + h6 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
-                x2 = x2 + h6 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
-                c[:, i0 + j + 1] = x1, x2
-                a = np.add(a, h6 * (k1[2] + 2.0 * (k2[2] + k3[2]) + k4[2]), out=alphas[j])
+                p1, q1 = rhs(*ph0, a, x1, x2, *gn[j], k1)
+                add(a, mul(hh, k1, stage), stage)
+                p2, q2 = rhs(*phh, stage, x1 + hh * p1, x2 + hh * q1, *gm[j], k2)
+                add(a, mul(hh, k2, stage), stage)
+                p3, q3 = rhs(*phh, stage, x1 + hh * p2, x2 + hh * q2, *gm[j], k3)
+                add(a, mul(h, k3, stage), stage)
+                p4, q4 = rhs(*ph1, stage, x1 + h * p3, x2 + h * q3, *gn[j + 1], k4)
+                x1 = x1 + h6 * (p1 + 2.0 * (p2 + p3) + p4)
+                x2 = x2 + h6 * (q1 + 2.0 * (q2 + q3) + q4)
+                xs1.append(x1)
+                xs2.append(x2)
+                add(k1, mul(2.0, add(k2, k3, stage), stage), stage)  # h6 (k1 + 2 (k2 + k3) + k4)
+                a = add(a, mul(h6, add(stage, k4, stage), stage), alphas[j])
+            c[0, i0 + 1:i1 + 1], c[1, i0 + 1:i1 + 1] = xs1, xs2
             photon[i0 + 1:i1 + 1] = sum_(np.abs(alphas[:i1 - i0]) ** 2, 1)
             phase[:, 0] = phase[:, R - 1]
     finally:

@@ -1,6 +1,8 @@
+import cmath
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +48,19 @@ class TestSeries:
                 args = {"gamma": 0.5, "delay": 1.0, "phi": 0.3, **kw}
                 with pytest.raises(ValueError, match="finite"):
                     SeriesParams(**args)
+
+    @pytest.mark.parametrize("phi", [1e308, -1e308])
+    def test_overflowing_phase_rejected(self, phi):
+        # n*phi overflows at n = 2; math.fmod(inf, 2 pi) once raised "math
+        # domain error".  Orders whose n*phi is finite keep their values
+        p = SeriesParams(gamma=0.1, delay=1.0, phi=phi)
+        message = f"phase n*phi = 2*{phi!r} overflows to {2 * phi}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            series_solution(p, 3.0)
+        assert p._phases == ()  # a failed growth keeps no partial ladder
+        want = math.exp(-0.05 * 1.5) + phase_factor(phi, 1) * -0.05 * math.exp(-0.025)
+        assert series_solution(p, 1.5) == pytest.approx(want, rel=1e-14)
+        assert phase_factor(phi, 1) == cmath.exp(1j * math.fmod(phi, 2.0 * math.pi))
 
     def test_domain_guard(self):
         p = SeriesParams(gamma=0.5, delay=1.0, phi=0.3)
@@ -193,6 +208,15 @@ class TestJumpFormula:
     def test_validation(self):
         with pytest.raises(ValueError):
             jump_formula(0, 1.0, 0.0, 1.0)
+
+    def test_overflowing_phase_rejected(self):
+        with pytest.raises(ValueError, match=r"^phase n\*phi = 2\*1e\+308 overflows to inf$"):
+            jump_formula(2, 0.1, 1e308, 1.0)
+        # N phi finite up to the float limit: the same bits as before
+        for N, phi in ((1, 1e308), (2, 8.9e307), (3, -5.9e307)):
+            want = -0.1 * cmath.exp(1j * math.fmod(N * phi, 2.0 * math.pi)) * complex(1.0)
+            got = jump_formula(N, 0.1, phi, 1.0)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 class TestEigenfrequencies:

@@ -47,6 +47,7 @@ class TestPulses:
 
     def test_sin2_endpoints(self):
         p = sin2_pulse(1.0, 10.0)
+        assert p.support == (0.0, 10.0)  # always (0, duration)
         assert eval_pulse(p, 0.0) == 0.0
         assert eval_pulse(p, 10.0) == pytest.approx(1.0)
         assert eval_pulse(p, 5.0) == pytest.approx(0.5)
@@ -90,10 +91,11 @@ class TestPulses:
         (lambda: sin2_pulse(-0.5, 2.0), "gamma0 must be >= 0, got -0.5"),
         (lambda: sin2_pulse(math.nan, 2.0), "gamma0 must be finite, got nan"),
         (lambda: sin2_pulse(0.5, 0.0), "sin2 duration must be finite and > 0, got 0.0"),
-        (lambda: sin2_pulse(0.5, -1.0, (0.0, 1.0)),
+        (lambda: PulseProfile("sin2", {"gamma0": 0.5, "duration": -1.0}, (0.0, 1.0)),
          "sin2 duration must be finite and > 0, got -1.0"),
-        (lambda: sin2_pulse(0.5, math.inf, (0.0, 1.0)),
+        (lambda: PulseProfile("sin2", {"gamma0": 0.5, "duration": math.inf}, (0.0, 1.0)),
          "sin2 duration must be finite and > 0, got inf"),
+        (lambda: sin2_pulse(0.5, -1.0), "invalid support (0.0, -1.0)"),
         (lambda: tanh_pulse(-1.0, 0.5, (0.0, 1.0)), "gamma0 must be >= 0, got -1.0"),
         (lambda: tanh_pulse(-math.inf, 0.5, (0.0, 1.0)), "gamma0 must be finite, got -inf"),
         (lambda: tanh_pulse(0.5, math.nan, (0.0, 1.0)), "tanh center must be finite, got nan"),
@@ -115,8 +117,10 @@ class TestPulses:
         a, b = 0.3, 7.3
         pulses = [constant_pulse(0.7, (a, b)), constant_pulse(-0.0, (a, b)),
                   PulseProfile("constant", {"gamma0": 0.7}, (a, b), mirror_about=3.8),
-                  sin2_pulse(0.7, b - a, (a, b)), sin2_pulse(0.7, 7.0, mirror=True),
-                  sin2_pulse(1e300, 3.1, (a, b)), sin2_pulse(0.0, 2.0),
+                  PulseProfile("sin2", {"gamma0": 0.7, "duration": b - a}, (a, b)),
+                  sin2_pulse(0.7, 7.0, mirror=True),
+                  PulseProfile("sin2", {"gamma0": 1e300, "duration": 3.1}, (a, b)),
+                  sin2_pulse(0.0, 2.0),
                   tanh_pulse(0.7, 2.2, (a, b)), tanh_pulse(0.7, 2.2, (a, b), mirror_about=3.8),
                   tanh_pulse(1e300, -4.0, (a, b)), tanh_pulse(-0.0, 2.2, (a, b))]
         t = np.concatenate((np.linspace(-1.0, 8.0, 1001), [a, b, np.nextafter(a, -1.0),

@@ -332,3 +332,43 @@ class TestExpWorker:
         assert not any(th.is_alive() for th in threads)
         assert wrong == []
         assert threading.active_count() == before
+
+    def test_two_calls_at_once_match_their_single_runs(self):
+        # two calls started together on two threads, with different ladders,
+        # pulses and block counts: each call's step buffers are its own, so
+        # each result equals its run made alone, bit for bit
+        runs = [(0.5, 50.0, 41, 160, 7 * _BLOCK + 5, _stirap(0.5, 3.0), (0.6, 0.8j)),
+                (0.3, 50.3, 61, 200, 3 * _BLOCK, _single(0.3, 3.0), (0.3 - 0.4j, -0.5 + 0.1j))]
+
+        def call(gamma, delta_fsr, n_modes, steps, n_steps, pulses, c0):
+            link = make_link(gamma, 1.0, delta_fsr * math.pi)
+            grid = make_grid(1.0, n_steps / steps, steps)
+            assert grid.n_steps == n_steps
+            return evolve_ww(link, build_modes(link, n_modes), pulses, c0, grid)
+
+        alone = [call(*run) for run in runs]
+        start, got = threading.Barrier(len(runs)), [None] * len(runs)
+
+        def caller(k):
+            try:
+                start.wait()
+                got[k] = call(*runs[k])
+            except Exception as exc:  # handed to the test
+                got[k] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,), daemon=True)
+                       for k in range(len(runs))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads), "evolve_ww did not return"
+        for traj, want in zip(got, alone):
+            assert isinstance(traj, ww.WWTrajectory), traj
+            assert np.array_equal(traj.c.view(np.uint64), want.c.view(np.uint64))
+            assert np.array_equal(traj.photon.view(np.uint64), want.photon.view(np.uint64))

@@ -35,6 +35,8 @@ COMMANDS = [
     ["scan"],
     ["scan", "--loss", "--grid", "0.1,0.2,0.5"],
     ["scan", "--grid", "0.2,1.0", "--ww", "--n-modes", "41"],
+    # the default 401-mode ladder: about 30 000 oracle steps
+    ["scan", "--grid", "0.5", "--protocols", "czkm", "--ww"],
     ["scan", "--grid", "0.2,120", "--protocols", "czkm"],
     ["scan", "--grid", "nan,-1"],
     ["scan", "--grid", "nan,-1", "--protocols", "czkm"],
