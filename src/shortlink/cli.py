@@ -51,13 +51,13 @@ def cmd_simulate(args) -> int:
         M = steps_for_modes(link, modes, args.steps_per_tau)
         wgrid = make_grid(1.0, grid.t_end, M)  # ends on the DDE grid's last node
         wpulse = constant_pulse(args.gamma_tau, (0.0, wgrid.t_end))
+        stride = M // args.steps_per_tau  # the oracle keeps the DDE grid's nodes, all printed
         ww = evolve_ww(link, modes, (wpulse, wpulse) if args.emitters == 2
                        else (wpulse, constant_pulse(0.0, (0.0, wgrid.t_end))),
-                       (1.0, 0.0), wgrid)
-        stride = M // args.steps_per_tau
-        wp = np.abs(ww.c[:, ::stride][:, : len(traj.t)]) ** 2  # only the nodes printed
+                       (1.0, 0.0), wgrid, every=stride)
+        wp = ww.populations()
         cols += ["ww_pop1", "ww_pop2", "ww_n_photon"]
-        data += [wp[0], wp[1], ww.photon[::stride][: len(traj.t)]]
+        data += [wp[0], wp[1], ww.photon]
     rows = np.column_stack(data)
     meta = _meta(gamma_tau=args.gamma_tau, delta_fsr=args.delta_fsr,
                  steps_per_tau=args.steps_per_tau, emitters=args.emitters)

@@ -99,12 +99,7 @@ class PulseProfile:
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
-        a, b = self.support
-        if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-            raise ValueError(f"invalid support {self.support!r}")
-        if self.mirror_about is not None:
-            _check_finite("mirror_about", self.mirror_about)
-        # these keep every sample in [0, gamma0] (see eval_pulse)
+        # parameters first (sin2_pulse's support comes from them); they keep samples in [0, gamma0]
         g0 = self.params["gamma0"]
         _check_finite("gamma0", g0)
         if g0 < 0:
@@ -115,6 +110,11 @@ class PulseProfile:
                 raise ValueError(f"sin2 duration must be finite and > 0, got {T!r}")
         elif self.shape == "tanh":
             _check_finite("tanh center", self.params["center"])
+        a, b = self.support
+        if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+            raise ValueError(f"invalid support {self.support!r}")
+        if self.mirror_about is not None:
+            _check_finite("mirror_about", self.mirror_about)
 
 
 def eval_pulse(p: PulseProfile, t):

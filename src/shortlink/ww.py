@@ -12,8 +12,8 @@ where the standing-wave parity s_k = (-1)^k fixes the sign of mode k at
 the far end of the link.  The coupling normalization sqrt(gamma/(2 tau))
 makes the Markovian decay rate of a single emitter equal gamma.
 
-A run keeps the link photon number sum_k |alpha_k|^2 at each grid node
-(`WWTrajectory.photon`), not the mode amplitudes.
+A run keeps c and the link photon number sum_k |alpha_k|^2 (`photon`) at
+every `every`-th grid node, not the mode amplitudes.
 """
 
 from __future__ import annotations
@@ -72,13 +72,23 @@ def steps_for_modes(link: LinkParams, modes: ModeSet, base: int) -> int:
 
 @dataclass
 class WWTrajectory(Trajectory):
-    """Trajectory plus the mode-resolved run's link-photon record; its c is complex and writable."""
+    """Trajectory plus the oracle's link-photon record; c (complex, writable) and photon at t."""
 
     photon: np.ndarray = field(default_factory=lambda: np.empty(0))
     modes: ModeSet | None = None
+    every: int = 1
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(0, self.grid.n_steps + 1, self.every) * self.grid.h
 
     def photon_number(self) -> np.ndarray:
         return self.photon
+
+    def amplitude_at(self, l: int, t: float) -> complex:
+        if self.every > 1:
+            raise ValueError(f"amplitude_at needs every node; this run kept every {self.every}th")
+        return super().amplitude_at(l, t)
 
 
 def _exp_rows(todo, started, done):
@@ -95,12 +105,13 @@ def _exp_rows(todo, started, done):
         done.put(exc)
 
 
-def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> WWTrajectory:
+def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid,
+              every: int = 1) -> WWTrajectory:
     """Fixed-step RK4 integration of the emitter + mode amplitudes.
 
     pulses: (pulse1, pulse2); c0: initial (c1, c2); core.run_inputs checks
-    both before the first step.  The mode loop is vectorized with a fixed
-    summation order, so results are reproducible bit-for-bit.
+    both before the first step; c and photon keep every `every`-th node.  The
+    mode loop is vectorized in a fixed summation order: results reproduce bit for bit.
 
     Steps go in blocks of _BLOCK, each making its phase rows in one exp
     call.  A step's start phases are those of the last step's end where
@@ -111,6 +122,8 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     """
     if len(pulses) != 2:
         raise ValueError("evolve_ww needs exactly two pulses")
+    if not (isinstance(every, int) and every >= 1):
+        raise ValueError(f"every must be an int >= 1, got {every!r}")
     i_nu = -1j * (modes.omegas - link.delta)
     h = grid.h
     if h * float(np.max(np.abs(i_nu))) > _MAX_PHASE_STEP:
@@ -124,8 +137,8 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
     odd = (s < 0).astype(np.intp)
     sum_ = np.add.reduce  # np.sum's pairwise reduction, without its wrapper
 
-    c = np.empty((2, N + 1), dtype=complex)
-    photon = np.empty(N + 1)
+    c = np.empty((2, N // every + 1), dtype=complex)
+    photon = np.empty(N // every + 1)
     c[:, 0] = x1, x2
     a = np.zeros(modes.n_modes, dtype=complex)  # mode amplitudes alpha_k
     photon[0] = sum_(np.abs(a) ** 2)
@@ -208,19 +221,21 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid) -> W
                 xs2.append(x2)
                 add(k1, mul(2.0, add(k2, k3, stage), stage), stage)  # h6 (k1 + 2 (k2 + k3) + k4)
                 a = add(a, mul(h6, add(stage, k4, stage), stage), alphas[j])
-            c[0, i0 + 1:i1 + 1], c[1, i0 + 1:i1 + 1] = xs1, xs2
-            photon[i0 + 1:i1 + 1] = sum_(np.abs(alphas[:i1 - i0]) ** 2, 1)
+            lo, hi = -(-(i0 + 1) // every), i1 // every + 1  # the block's kept nodes / every
+            j0 = lo * every - i0 - 1  # the step ending on the first of them
+            c[0, lo:hi], c[1, lo:hi] = xs1[j0::every], xs2[j0::every]
+            photon[lo:hi] = sum_(np.abs(alphas[j0:i1 - i0:every]) ** 2, 1)
             phase[:, 0] = phase[:, R - 1]
     finally:
         todo.put(None)
         worker.join()
 
     return WWTrajectory(grid=grid, c=c, echo_delay_steps=2 * grid.steps_per_tau,
-                        photon=photon, modes=modes)
+                        photon=photon, modes=modes, every=every)
 
 
 def unitarity_defect(traj: WWTrajectory) -> float:
-    """max_t |sum_l |c_l|^2 + sum_k |alpha_k|^2 - 1| over the run."""
+    """max_t |sum_l |c_l|^2 + sum_k |alpha_k|^2 - 1| over the run's kept nodes."""
     total = np.sum(np.abs(traj.c) ** 2, axis=0) + traj.photon
     return float(np.max(np.abs(total - 1.0)))
 

@@ -95,7 +95,11 @@ class TestPulses:
          "sin2 duration must be finite and > 0, got -1.0"),
         (lambda: PulseProfile("sin2", {"gamma0": 0.5, "duration": math.inf}, (0.0, 1.0)),
          "sin2 duration must be finite and > 0, got inf"),
-        (lambda: sin2_pulse(0.5, -1.0), "invalid support (0.0, -1.0)"),
+        # sin2_pulse makes its support (0, duration): the duration is named, not the pair
+        pytest.param(lambda: sin2_pulse(0.5, -1.0), "sin2 duration must be finite and > 0, got -1.0",
+                     id="sin2_pulse(0.5, -1.0)"),
+        pytest.param(lambda: sin2_pulse(0.5, math.inf), "sin2 duration must be finite and > 0, got inf",
+                     id="sin2_pulse(0.5, inf)"),
         (lambda: tanh_pulse(-1.0, 0.5, (0.0, 1.0)), "gamma0 must be >= 0, got -1.0"),
         (lambda: tanh_pulse(-math.inf, 0.5, (0.0, 1.0)), "gamma0 must be finite, got -inf"),
         (lambda: tanh_pulse(0.5, math.nan, (0.0, 1.0)), "tanh center must be finite, got nan"),

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +216,73 @@ def test_matches_reference_route_bit_for_bit(pulses, c0, delta_fsr, n_modes, ste
     c, photon = _reference_ww(link, modes, pulses, c0, grid)
     assert np.array_equal(traj.c.view(np.uint64), c.view(np.uint64))
     assert np.array_equal(traj.photon.view(np.uint64), photon.view(np.uint64))
+
+
+def _stride_run(n_steps, every):
+    link = make_link(0.5, 1.0, 50.0 * math.pi)
+    grid = make_grid(1.0, n_steps / 160, 160)
+    assert grid.n_steps == n_steps
+    return evolve_ww(link, build_modes(link, 41), _stirap(0.5, 3.0), (0.6, 0.8j), grid, every)
+
+
+# 83 steps: a multiple of none of the strides above 1; a stride above _BLOCK
+# (23) leaves some blocks with no kept node; 10 steps: fewer than the stride
+@pytest.mark.parametrize("n_steps", [5 * _BLOCK + 3, 10])
+@pytest.mark.parametrize("every", [1, 3, 12, 16, 23])
+def test_stride_keeps_the_full_runs_nodes_bit_for_bit(n_steps, every):
+    full, kept = _stride_run(n_steps, 1), _stride_run(n_steps, every)
+    assert kept.every == every and kept.grid == full.grid
+    assert kept.c.shape == (2, n_steps // every + 1) and kept.photon.shape == (n_steps // every + 1,)
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+    assert np.array_equal(bits(kept.c), bits(full.c[:, ::every]))
+    assert np.array_equal(bits(kept.photon), bits(full.photon[::every]))
+    assert np.array_equal(bits(kept.t), bits(full.grid.times()[::every]))
+    assert np.array_equal(kept.populations(), full.populations()[:, ::every])
+    total = np.sum(np.abs(full.c[:, ::every]) ** 2, axis=0) + full.photon[::every]
+    assert unitarity_defect(kept) == float(np.max(np.abs(total - 1.0)))
+    T = kept.t[-1]
+    if every == 1:
+        assert kept.amplitude_at(1, T) == full.c[1, -1]
+    else:
+        with pytest.raises(ValueError, match=f"^amplitude_at needs every node; .* every {every}th$"):
+            kept.amplitude_at(1, T)
+
+
+@pytest.mark.parametrize("every", [0, -3, 1.0, 2.5, "2", None, np.int64(2)])
+def test_bad_stride_fails_before_the_first_step(monkeypatch, every):
+    calls = []
+    monkeypatch.setattr(ww, "np", _Numpy(exp=_counted(np.exp, calls)))
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^every must be an int >= 1, got "):
+        _stride_run(10, every)
+    assert calls == [] and threading.active_count() == before  # no phase row, no worker
+
+
+def test_memory_split_oracle_pass(tmp_path, monkeypatch):
+    # tools/memory_split.py wraps cli.evolve_ww from outside: ru_maxrss around
+    # the first pass's call, traced bytes around the second's
+    from shortlink import cli
+    path = Path(__file__).resolve().parents[1] / "tools" / "memory_split.py"
+    spec = importlib.util.spec_from_file_location("memory_split", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SHORTLINK_OUTDIR", str(tmp_path))
+    argv = ["simulate", "--gamma-tau", "0.1", "--ww", "--t-end", "0.5"]  # 1 200 oracle steps
+
+    class Workload:
+        setup_argv = argv + ["--out", "setup.csv"]
+
+        def run_pass(self):
+            cli.main(argv + ["--out", "pass.csv"])
+
+    wrapped = cli.evolve_ww
+    got = tool.oracle_pass(cli, Workload())
+    assert 0 < got["before"] <= got["after"]
+    # held: the returned c and photon (40 bytes a node) at the 101 printed nodes of 1 201
+    assert 101 * 40 <= got["held"] < 1201 * 40 and got["held"] <= got["peak"]
+    assert cli.evolve_ww is wrapped
 
 
 def test_runs_share_no_memory():

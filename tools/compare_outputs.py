@@ -73,6 +73,11 @@ COMMANDS = [
     ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww", "--t-end", "2.005"],
     ["simulate", "--gamma-tau", "0.1", "--ww", "--t-end", "0.0501"],
     ["simulate", "--gamma-tau", "0.1", "--ww", "--n-modes", "3", "--t-end", "0.05"],
+    # an oracle stride of 23 (2300 steps per tau over a base of 100: 3 174
+    # oracle steps), and the JSON writer with the oracle's columns
+    ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww", "--steps-per-tau", "100",
+     "--t-end", "1.375"],
+    ["simulate", "--gamma-tau", "0.1", "--ww", "--format", "json", "--t-end", "2"],
     ["simulate", "--gamma-tau", "3000", "--t-end", "3", "--delta-fsr", "0"],
     ["simulate", "--gamma-tau", "0.1", "--t-end", "1e-12"],
     # 40 000 steps, 200 blocks of per-block coefficient lists

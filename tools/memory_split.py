@@ -1,6 +1,6 @@
-"""Where the method-of-steps kernel's memory goes, run by run and stage by stage.
+"""Where the integrators' memory goes, run by run and stage by stage.
 
-    python3 tools/memory_split.py [CHECKOUT] [--seed N]
+    python3 tools/memory_split.py [CHECKOUT] [--seed N] [--workload oracle-overlay]
 
 CHECKOUT (default: the one holding this file) puts its `src` and
 `perfbench` first on sys.path.  In one fresh process the script prints:
@@ -17,6 +17,13 @@ CHECKOUT (default: the one holding this file) puts its `src` and
   tau at 200 steps per tau), each after one untraced warm-up run: held is
   what is still allocated once the run has returned (its Trajectory and
   the kernel's stored run), peak the most allocated during the run.
+
+With `--workload oracle-overlay` it prints instead, for that workload's
+passes made the same way: ru_maxrss just before and just after the first
+pass's `evolve_ww` call, then the bytes tracemalloc traces around the
+second pass's call, held (still allocated as it returns, its
+WWTrajectory included) and peak.  The call is found by wrapping
+`cli.evolve_ww` from outside, so a parent checkout can be measured too.
 
 Outputs go to a temporary SHORTLINK_OUTDIR, also the working directory.
 """
@@ -65,6 +72,39 @@ def crosscheck_stages(cli, protocols, wl) -> list:
     return marks
 
 
+def oracle_pass(cli, wl) -> dict:
+    """ru_maxrss (MB) before and after the evolve_ww call of wl's first pass,
+    made after its set-up call, and the traced bytes held and peak around
+    the call in a second pass."""
+    if cli.main(wl.setup_argv) != 0:
+        raise RuntimeError("the workload's set-up call failed")
+    evolve_ww, out = cli.evolve_ww, {}
+
+    def untraced(*args, **kwargs):
+        out["before"] = maxrss_mb()
+        try:
+            return evolve_ww(*args, **kwargs)
+        finally:
+            out["after"] = maxrss_mb()
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            traj = evolve_ww(*args, **kwargs)
+            out["held"], out["peak"] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return traj
+
+    for wrapper in (untraced, traced):
+        cli.evolve_ww = wrapper
+        try:
+            wl.run_pass()
+        finally:
+            cli.evolve_ww = evolve_ww
+    return out
+
+
 def traced_run(dde, run) -> tuple:
     """(steps, bytes held after, peak bytes during) one cold run() under tracemalloc."""
     dde._last.clear()
@@ -83,6 +123,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--workload", choices=("crosscheck", "oracle-overlay"), default="crosscheck")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -90,14 +131,24 @@ def main(argv=None) -> int:
     import workloads
     from shortlink import cli, core, dde, protocols
 
+    wl = workloads.WORKLOADS[args.workload](args.seed)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="memory_split-") as out:
         os.environ["SHORTLINK_OUTDIR"] = out
         os.chdir(out)
         try:
-            marks = crosscheck_stages(cli, protocols, workloads.WORKLOADS["crosscheck"](args.seed))
+            if args.workload == "oracle-overlay":
+                got = oracle_pass(cli, wl)
+            else:
+                marks = crosscheck_stages(cli, protocols, wl)
         finally:
             os.chdir(cwd)
+    if args.workload == "oracle-overlay":
+        print(f"oracle-overlay seed {args.seed}: ru_maxrss (MB) around the first pass's evolve_ww")
+        print(f"  before{got['before']:14.2f}\n  after{got['after']:15.2f}")
+        print("second pass's evolve_ww, traced MB:   held    peak")
+        print(f"{got['held'] / 2**20:42.3f}{got['peak'] / 2**20:8.3f}")
+        return 0
     print(f"crosscheck seed {args.seed}: ru_maxrss (MB) after each stage")
     for stage, mb in marks:
         print(f"  {stage:16s}{mb:10.2f}")
