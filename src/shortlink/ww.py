@@ -122,7 +122,7 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid,
     """
     if len(pulses) != 2:
         raise ValueError("evolve_ww needs exactly two pulses")
-    if not (isinstance(every, int) and every >= 1):
+    if not (isinstance(every, int) and not isinstance(every, bool) and every >= 1):
         raise ValueError(f"every must be an int >= 1, got {every!r}")
     i_nu = -1j * (modes.omegas - link.delta)
     h = grid.h
@@ -169,21 +169,17 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid,
         started.get()
         return R, first, end
 
-    # this call's own step buffers (threads share none): rows * a, the four
-    # stages' dalpha, a stage's alpha then the update's sum, the forcing's values
+    # this call's own step buffers (threads share none): rows * a, its two
+    # sums, the four stages' dalpha, a stage's alpha then the update's sum,
+    # the forcing's values
     mul, add = np.multiply, np.add  # out positional: a faster dispatch than out=
-    pa = np.empty((2, modes.n_modes), dtype=complex)
+    pa, sums = np.empty((2, modes.n_modes), dtype=complex), np.empty(2, dtype=complex)
     k1, k2, k3, k4 = np.empty((4, modes.n_modes), dtype=complex)
     stage, fv = np.empty(modes.n_modes, dtype=complex), np.empty(2, dtype=complex)
-    def rhs(rows, back, a, x1, x2, g1, g2, da):
-        # returns (dc1, dc2), dalpha into da.  Since s = +-1, (s ph) a = s (ph a)
-        # exactly, and the forcing g1 x1 + g2 x2 s takes two values (1.0 and -1.0
-        # round signed zeros as x * s does); take's "clip" fills da with no copy
-        sa1, sa2 = sum_(mul(rows, a, pa), 1).tolist()
-        f1, f2 = g1 * x1, g2 * x2
-        fv[0], fv[1] = f1 + f2 * 1.0, f1 + f2 * -1.0
-        mul(back, fv.take(odd, None, da, "clip"), da)
-        return -1j * g1 * sa1, -1j * g2 * sa2
+    # the mode rows' step scalars as 0-d complex arrays: numpy casts a Python
+    # float to this same value, so the same complex loop runs, dispatched for less
+    c_hh, c_h, c_2, c_h6 = (np.array(v, dtype=complex) for v in (hh, h, 2.0, h6))
+    half, full = (hh, c_hh), (h, c_h)  # a stage's scale to the next stage's input
 
     worker = threading.Thread(target=_exp_rows, args=(todo, started, done))
     worker.start()
@@ -208,19 +204,29 @@ def evolve_ww(link: LinkParams, modes: ModeSet, pulses, c0, grid: TimeGrid,
             xs1, xs2 = [], []
             for j, r in enumerate(first):
                 ph0, phh, ph1 = rows[r:r + 3]
-                p1, q1 = rhs(*ph0, a, x1, x2, *gn[j], k1)
-                add(a, mul(hh, k1, stage), stage)
-                p2, q2 = rhs(*phh, stage, x1 + hh * p1, x2 + hh * q1, *gm[j], k2)
-                add(a, mul(hh, k2, stage), stage)
-                p3, q3 = rhs(*phh, stage, x1 + hh * p2, x2 + hh * q2, *gm[j], k3)
-                add(a, mul(h, k3, stage), stage)
-                p4, q4 = rhs(*ph1, stage, x1 + h * p3, x2 + h * q3, *gn[j + 1], k4)
+                y, u1, u2, dx = a, x1, x2, []
+                for (rw, back), (g1, g2), da, w in ((ph0, gn[j], k1, half), (phh, gm[j], k2, half),
+                                                     (phh, gm[j], k3, full), (ph1, gn[j + 1], k4, None)):
+                    # dc onto dx, dalpha into da.  Since s = +-1, (s ph) y = s (ph y)
+                    # exactly, and the forcing g1 u1 + g2 u2 s takes two values (1.0
+                    # and -1.0 round signed zeros as u * s does); take's "clip" fills
+                    # da with no copy
+                    sa1, sa2 = sum_(mul(rw, y, pa), 1, None, sums).tolist()
+                    f1, f2 = g1 * u1, g2 * u2
+                    fv[0], fv[1] = f1 + f2 * 1.0, f1 + f2 * -1.0
+                    mul(back, fv.take(odd, None, da, "clip"), da)
+                    p, q = -1j * g1 * sa1, -1j * g2 * sa2
+                    dx += p, q
+                    if w:
+                        y = add(a, mul(w[1], da, stage), stage)
+                        u1, u2 = x1 + w[0] * p, x2 + w[0] * q
+                p1, q1, p2, q2, p3, q3, p4, q4 = dx
                 x1 = x1 + h6 * (p1 + 2.0 * (p2 + p3) + p4)
                 x2 = x2 + h6 * (q1 + 2.0 * (q2 + q3) + q4)
                 xs1.append(x1)
                 xs2.append(x2)
-                add(k1, mul(2.0, add(k2, k3, stage), stage), stage)  # h6 (k1 + 2 (k2 + k3) + k4)
-                a = add(a, mul(h6, add(stage, k4, stage), stage), alphas[j])
+                add(k1, mul(c_2, add(k2, k3, stage), stage), stage)  # h6 (k1 + 2 (k2 + k3) + k4)
+                a = add(a, mul(c_h6, add(stage, k4, stage), stage), alphas[j])
             lo, hi = -(-(i0 + 1) // every), i1 // every + 1  # the block's kept nodes / every
             j0 = lo * every - i0 - 1  # the step ending on the first of them
             c[0, lo:hi], c[1, lo:hi] = xs1[j0::every], xs2[j0::every]

@@ -460,3 +460,25 @@ def test_time_criteria_items():
     assert (r["parent_median"], r["change_median"]) == (3.0, 3.0)
     assert r["change_faster_rounds"] == "1 of 2"
     assert r["passed"] == {"parent": False, "change": True}
+
+
+def test_kernel_split_oracle_line(outdir):
+    # tools/kernel_split.py's oracle line: the calling thread's waits on the
+    # worker, the worker's exp calls and the calling thread's other time, from
+    # shims put in from outside and taken out after the pass, which writes
+    # what a plain run writes
+    from shortlink import cli, ww
+    path = Path(__file__).resolve().parents[1] / "tools" / "kernel_split.py"
+    spec = importlib.util.spec_from_file_location("kernel_split", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    argv = ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww", "--t-end", "0.5"]
+    assert run(*argv, "--out", "plain.csv") == 0
+    before = (cli.evolve_ww, ww.np, ww.queue)
+    s = tool.oracle_split(cli, ww, lambda: run(*argv, "--out", "split.csv"))
+    assert (cli.evolve_ww, ww.np, ww.queue) == before
+    assert (outdir / "split.csv").read_bytes() == (outdir / "plain.csv").read_bytes()
+    assert tuple(s) == tool.ORACLE_COLUMNS == ("wait_s", "exp_s", "rest_s")
+    assert min(s.values()) > 0.0
+    line = tool.row("oracle-overlay", s, tool.ORACLE_COLUMNS)
+    assert line.split() == ["oracle-overlay", *(f"{s[c]:.3f}" for c in tool.ORACLE_COLUMNS)]

@@ -188,7 +188,8 @@ def _off_end_block_start(steps):
 # Delta, a ladder clamped at the first mode, and one emitter; then runs of
 # fewer, as many and one more steps than a block, of several blocks, a 1-mode
 # ladder, a block whose first step's start phases are made anew, and the CLI's
-# 401-mode ladder over 38 blocks, ending mid-block
+# 401-mode ladder over 38 blocks, ending mid-block, and the CLI's own oracle
+# set-up (simulate --ww --emitters 2 at its defaults) over 3 blocks and 5 steps
 @pytest.mark.parametrize("pulses, c0, delta_fsr, n_modes, steps, n_steps", [
     pytest.param(_stirap(0.5, 3.0), (1.0, 0.0), 50.0, 41, 160, 480,
                  id="pulses0-c00-50.0-41-160"),
@@ -206,6 +207,8 @@ def _off_end_block_start(steps):
     pytest.param(_single(0.5, 3.0), (0.3 - 0.4j, -0.5 + 0.1j), 50.3, 41, 200,
                  _off_end_block_start(200), id="block-start-off-the-last-end"),
     pytest.param(_stirap(0.5, 3.0), (0.6, 0.8j), 50.0, 401, 2400, 600, id="401-modes"),
+    pytest.param((constant_pulse(0.1, (0.0, 12.0)),) * 2, (1.0, 0.0), 50.0, 401, 2400,
+                 3 * _BLOCK + 5, id="cli-oracle"),
 ])
 def test_matches_reference_route_bit_for_bit(pulses, c0, delta_fsr, n_modes, steps, n_steps):
     link = make_link(0.5, 1.0, delta_fsr * math.pi)
@@ -216,6 +219,26 @@ def test_matches_reference_route_bit_for_bit(pulses, c0, delta_fsr, n_modes, ste
     c, photon = _reference_ww(link, modes, pulses, c0, grid)
     assert np.array_equal(traj.c.view(np.uint64), c.view(np.uint64))
     assert np.array_equal(traj.photon.view(np.uint64), photon.view(np.uint64))
+
+
+@pytest.mark.parametrize("h", [1 / 2400, 1 / 160])
+def test_step_scalars_as_0d_complex_arrays_multiply_bit_for_bit(h):
+    """evolve_ww multiplies its mode rows by 0-d complex arrays of the step's
+    scalars; a Python float gives the same bits, over finite parts: random,
+    +-0, subnormal and near overflow."""
+    rng = np.random.default_rng(7)
+    pool = np.concatenate([rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400),
+                           rng.standard_normal(100), [0.0, -0.0],
+                           [5e-324, -5e-324, 2.5e-310, -1.1e-308, 1.7e308, -1.7e308, 9e307]])
+    assert np.all(np.isfinite(pool))
+    for v in (0.5 * h, h, 2.0, h / 6.0):
+        c = np.array(v, dtype=complex)
+        for _ in range(16):
+            z, out = np.empty((2, 401), dtype=complex)
+            z.real, z.imag = rng.choice(pool, (2, 401))
+            with np.errstate(over="ignore"):  # 2.0 * 1.7e308 is inf either way
+                assert np.array_equal(np.multiply(c, z, out).view(np.uint64),
+                                      np.multiply(v, z).view(np.uint64))
 
 
 def _stride_run(n_steps, every):
@@ -249,7 +272,7 @@ def test_stride_keeps_the_full_runs_nodes_bit_for_bit(n_steps, every):
             kept.amplitude_at(1, T)
 
 
-@pytest.mark.parametrize("every", [0, -3, 1.0, 2.5, "2", None, np.int64(2)])
+@pytest.mark.parametrize("every", [0, -3, 1.0, 2.5, "2", None, np.int64(2), True, False])
 def test_bad_stride_fails_before_the_first_step(monkeypatch, every):
     calls = []
     monkeypatch.setattr(ww, "np", _Numpy(exp=_counted(np.exp, calls)))

@@ -66,6 +66,9 @@ COMMANDS = [
      "--broadening", "-inf"],
     ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww"],
     ["simulate", "--gamma-tau", "0.1", "--ww", "--delta-fsr", "50.3"],
+    # two emitters with Delta off a mode
+    ["simulate", "--gamma-tau", "0.3", "--emitters", "2", "--ww", "--delta-fsr", "50.3",
+     "--n-modes", "41", "--t-end", "3"],
     # a 1-mode ladder; a run ending mid-block (4 812 oracle steps); a t_end
     # off the base grid, whose oracle grid must end on the base grid's node;
     # a one-block run (10 oracle steps), so no next block's rows are made
