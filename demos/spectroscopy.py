@@ -17,7 +17,7 @@ import numpy as np
 from shortlink.analytic import (eigenfrequencies, output_amplitude,
                                 resonant_splitting, spectrum_scan)
 from shortlink.core import make_link
-from shortlink.io import write_csv
+from shortlink.io import heatmap_lines, write_csv
 
 gamma, tau = 0.15, 1.0
 d0 = 50.0 * math.pi  # work around the 50th link mode
@@ -44,9 +44,9 @@ print(f"emitter-line weight, resonant / quasi-dark = "
       f"{line_weight(d0) / line_weight(d0 + 0.5 * math.pi):.1f}x suppression")
 
 # heat-map rows (Delta/FSR, omega/FSR, power), each spectrum normalized to 1
-rows = spectrum_scan(gamma, tau, deltas, omegas, 0.02, label=lambda x: x / math.pi)
-p1 = write_csv("spectroscopy.csv", ["delta_fsr", "omega_fsr", "power"], rows,
-               {"gamma_tau": gamma, "broadening": 0.02})
+blocks = spectrum_scan(gamma, tau, deltas, omegas, 0.02)
+p1 = write_csv("spectroscopy.csv", ["delta_fsr", "omega_fsr", "power"],
+               heatmap_lines(blocks, omegas, math.pi), {"gamma_tau": gamma, "broadening": 0.02})
 p2 = write_csv("spectroscopy_eigen.csv", ["delta_fsr", "lambda_fsr"],
                eigen_rows, {"gamma_tau": gamma})
 print(f"wrote {p1} and {p2}")

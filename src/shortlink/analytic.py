@@ -20,7 +20,6 @@ these and is not used (its branch spacing would be 2*pi/tau).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -252,10 +251,13 @@ def output_amplitude(link: LinkParams, omega, broadening: float = 0.0):
 
     A(s) = sqrt(gamma) / [(s + gamma/2)(1 - E) + gamma E],  E = e^{i 2 phi - 2 s tau},
     evaluated at s = broadening - i (omega - Delta).  The optional broadening
-    moves the evaluation off the real axis (the undamped poles are real), which
-    turns each line into a finite Lorentzian of common width.
+    (>= 0) moves the evaluation off the real axis (the undamped poles are real),
+    which turns each line into a finite Lorentzian of common width; below 0 it
+    would evaluate the continuation past the poles, so it raises ValueError.
     """
     _check_finite("broadening", broadening)
+    if broadening < 0:  # A(s) is the output's Laplace transform, a spectrum for Re s >= 0
+        raise ValueError(f"broadening must be >= 0, got {broadening}")
     w = np.asarray(omega, dtype=float)
     s = broadening - 1j * (w - link.delta)
     E = np.exp(1j * math.fmod(2.0 * link.phi, TWO_PI) - 2.0 * s * link.tau)
@@ -287,15 +289,16 @@ def output_spectrum(link: LinkParams, omega_grid, broadening: float = 0.0) -> Sp
 
 
 def spectrum_scan(gamma0: float, tau: float, delta_values, omega_grid,
-                  broadening: float = 0.0, label=float):
-    """Heat-map rows (label(Delta), label(omega), power), one Delta at a time.
+                  broadening: float = 0.0):
+    """Heat-map blocks (Delta, powers), one Delta at a time: powers[i], a
+    Python float, is the normalized output power at omega_grid[i].
 
-    A generator, so a caller writing the rows as they come never holds the
-    table.  `label` maps each Delta and each omega of the grid once, not
-    once per row (the CLI passes the formatted Delta/FSR and omega/FSR).
+    A generator, so a caller writing each block as it comes never holds the
+    table, and nothing is computed before the first block is asked for.  The
+    CLI and demos/spectroscopy.py render the blocks as CSV lines with
+    `io.heatmap_lines` (Delta/FSR, omega/FSR, power), the omega labels
+    formatted once.
     """
     w = np.asarray(omega_grid, dtype=float)
-    w_labels = [label(x) for x in w.tolist()]
     for delta in delta_values:
-        res = output_spectrum(make_link(gamma0, tau, delta), w, broadening)
-        yield from zip(itertools.repeat(label(delta)), w_labels, res.spectrum.tolist())
+        yield delta, output_spectrum(make_link(gamma0, tau, delta), w, broadening).spectrum.tolist()

@@ -19,7 +19,7 @@ from . import __version__
 from .analytic import eigenfrequencies, spectrum_scan
 from .core import _check_finite, constant_pulse, make_grid, make_link
 from .dde import evolve_pair, evolve_single
-from .io import fmt, write_csv, write_json
+from .io import heatmap_lines, write_csv, write_json
 from .protocols import (KINDS, ProtocolSpec, check_kind, dark_bright, fidelity,
                         loss_error, make_pulses, run_protocol)
 from .sweep import ScanRecord, crossover, error_vs_duration, loss_scan, optimum
@@ -85,18 +85,18 @@ def cmd_spectrum(args) -> int:
                                               (omegas[0], omegas[-1]))]
     meta = _meta(gamma_tau=gamma, broadening=args.broadening)
     columns = ["delta_fsr", "omega_fsr", "power"]
+    blocks = spectrum_scan(gamma, 1.0, deltas, omegas, args.broadening)
     if args.format == "json":
-        rows = list(spectrum_scan(gamma, 1.0, deltas, omegas, args.broadening,
-                                  label=lambda x: x / math.pi))
+        w_fsr = [w / math.pi for w in omegas.tolist()]
+        rows = [(d / math.pi, w, p) for d, powers in blocks
+                for w, p in zip(w_fsr, powers)]
         write_json(args.out, {"meta": meta,
                               "heatmap": {"columns": columns, "rows": rows},
                               "eigenfrequencies": {"columns": ["delta_fsr", "lambda_fsr"],
                                                    "rows": eigen_rows}})
     else:
-        # streamed: one Delta's rows at a time, its labels already text
-        write_csv(args.out, columns,
-                  spectrum_scan(gamma, 1.0, deltas, omegas, args.broadening,
-                                label=lambda x: fmt(x / math.pi)), meta)
+        # streamed: one Delta's block at a time, rendered in pieces of rows
+        write_csv(args.out, columns, heatmap_lines(blocks, omegas, math.pi), meta)
         write_csv(str(args.out) + ".eigen.csv",
                   ["delta_fsr", "lambda_fsr"], eigen_rows, meta)
     return 0

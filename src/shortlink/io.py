@@ -17,6 +17,7 @@ import numpy as np
 
 OUTPUT_DIR_ENV = "SHORTLINK_OUTDIR"
 _CHUNK = 1024  # rows formatted and written at a time
+_PIECE = 256  # heat-map rows rendered into one str
 # csv.writer's default dialect quotes a field holding one of these
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
@@ -55,18 +56,25 @@ def write_csv(path, columns, rows, meta=None) -> Path:
     print 10**12 as 1e+12, True as 1 and a float32 0.1 as 0.100000001490.
     A `str` cell holding a comma, quote, CR or LF is quoted as `csv.writer`
     quotes it; a column is searched once per chunk, as one joined text.
+    An item that is a `str` is whole lines already rendered (`heatmap_lines`)
+    and is written as it stands; give rows or str items, not both.
     The text replaces `path` only once every row is written, so a failure at
     any point leaves no new or altered file.
     """
     head = [f"# {key} = {fmt(meta[key])}" for key in (meta or {})]
     head.append(",".join(columns))
+    text = (c if type(c) is str else _chunk_text(c, len(columns)) for c in _chunks(rows))
+    return _write_whole(path, itertools.chain(["\n".join(head) + "\n"], text))
+
+
+def _write_whole(path, texts) -> Path:
+    """Write the texts to a temporary file that replaces `path` only once all
+    are written, so a failure at any point leaves no new or altered file."""
     p = resolve_output(path)
     tmp = p.with_name(f"{p.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write("\n".join(head) + "\n")
-            for chunk in _chunks(rows):
-                fh.write(_chunk_text(chunk, len(columns)))
+            fh.writelines(texts)
         os.replace(tmp, p)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -75,11 +83,12 @@ def write_csv(path, columns, rows, meta=None) -> Path:
 
 
 def _chunks(rows):
-    """Lists of at most `_CHUNK` rows; a float64 ndarray's as Python floats."""
+    """Lists of at most `_CHUNK` rows (a float64 ndarray's as Python floats), or a str."""
     if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
         return (rows[i:i + _CHUNK].tolist() for i in range(0, len(rows), _CHUNK))
     it = iter(rows)
-    return iter(lambda: list(itertools.islice(it, _CHUNK)), [])
+    return (row if type(row) is str else [row, *itertools.islice(it, _CHUNK - 1)]
+            for row in it)
 
 
 def _chunk_text(chunk, width) -> str:
@@ -106,8 +115,18 @@ def _quoted(s: str) -> str:
     return '"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES(s) else s
 
 
+def heatmap_lines(blocks, xs, scale: float):
+    """`write_csv`'s lines for rows (y/scale, x/scale, v) of blocks (y, [v per x]):
+    the x labels formatted once, and a block's rows `_PIECE` at a time, each
+    piece one `%` of a template of its labels, so no object is made per row."""
+    tails = [f",{fmt(x / scale)},%.12g\n" for x in np.asarray(xs, dtype=float).tolist()]
+    for y, values in blocks:
+        head = fmt(y / scale)
+        for i in range(0, len(tails), _PIECE):
+            yield (head + head.join(tails[i:i + _PIECE])) % tuple(values[i:i + _PIECE])
+
+
 def write_json(path, obj) -> Path:
-    """Write a JSON document with sorted keys (deterministic bytes)."""
-    p = resolve_output(path)
-    p.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-    return p
+    """Write a JSON document with sorted keys (deterministic bytes), replacing
+    `path` only once it is written whole."""
+    return _write_whole(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])

@@ -208,8 +208,8 @@ def fit_power_law(points):
 
     Fit is linear in log-log space; the residual is the RMS log error.
     Points with y below the 1e-9 integrator noise floor are excluded
-    (count logged); at least 3 usable points are required, and every
-    point must be finite.
+    (count logged); at least 3 usable points with distinct x are required
+    (fewer leave the line undetermined), and every point must be finite.
     """
     pts = [(float(x), float(y)) for x, y in points]
     if not all(0 < x < math.inf and 0 <= y < math.inf for x, y in pts):
@@ -218,8 +218,8 @@ def fit_power_law(points):
     dropped = len(pts) - len(kept)
     if dropped:
         log.info("fit_power_law: dropped %d point(s) below the noise floor", dropped)
-    if len(kept) < 3:
-        raise ValueError("need at least 3 points above the noise floor")
+    if len({x for x, _ in kept}) < 3:
+        raise ValueError("need at least 3 distinct x above the noise floor")
     lx = np.log([x for x, _ in kept])
     ly = np.log([y for _, y in kept])
     b, la = np.polyfit(lx, ly, 1)
@@ -237,8 +237,8 @@ def loss_scan(gamma0_tau_grid, kappa_tau: float = 0.01,
     supplies the photon-number integral, and `loss_error` turns it into
     1 - exp(-kappa * integral n dt).  Returns per-protocol rows
     (T/tau, loss_error) plus a power-law fit of loss vs duration.  kappa,
-    every protocol name, every coupling and the fit's need of 3 couplings
-    are checked before the first run.
+    every protocol name, every coupling and the fit's need of 3 distinct
+    couplings are checked before the first run.
     """
     loss_error(0.0, kappa_tau)
     for kind in protocols:
@@ -246,8 +246,9 @@ def loss_scan(gamma0_tau_grid, kappa_tau: float = 0.01,
     grid = [float(g) for g in gamma0_tau_grid]
     for g in grid:
         _check_coupling(g)
-    if len(grid) < 3:
-        raise ValueError(f"a loss scan's power-law fit needs at least 3 couplings, got {len(grid)}")
+    if len(set(grid)) < 3:
+        raise ValueError("a loss scan's power-law fit needs at least 3 distinct couplings, "
+                         f"got {len(set(grid))}")
     out = {}
     for kind in protocols:
         rows = []

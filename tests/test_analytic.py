@@ -362,12 +362,18 @@ class TestSpectrum:
             output_spectrum(link, np.array([]))
 
     def test_broadening_must_be_finite(self):
+        # A(s) is a spectrum for Re s >= 0 only: a negative width would
+        # evaluate its continuation past the poles
         link = make_link(0.2, 1.0, 0.0)
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"^broadening must be finite, got {bad}$"):
+        for bad, message in [*((b, f"broadening must be finite, got {b}")
+                               for b in (math.nan, math.inf, -math.inf)),
+                             (-1.0, "broadening must be >= 0, got -1.0"),
+                             (-1e-300, "broadening must be >= 0, got -1e-300")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 output_amplitude(link, np.array([0.5, 1.0]), bad)
-            with pytest.raises(ValueError, match="broadening must be finite"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 list(spectrum_scan(0.2, 1.0, [0.0], np.array([0.5, 1.0]), bad))
+        assert np.all(np.isfinite(output_amplitude(link, np.array([0.5, 1.0]), -0.0)))
 
     def test_quasi_dark_suppression(self):
         # integrated weight near the emitter line, resonant vs quasi-dark
@@ -382,23 +388,27 @@ class TestSpectrum:
         assert ratio >= 5.0
 
     def test_spectrum_scan_rows(self):
-        rows = list(spectrum_scan(0.15, 1.0, [10.0, 11.0], np.linspace(8.0, 12.0, 5)))
-        assert len(rows) == 10
-        assert rows[0][0] == 10.0 and rows[-1][0] == 11.0
+        # one block (Delta, powers) per Delta, a Python float per omega
+        blocks = list(spectrum_scan(0.15, 1.0, [10.0, 11.0], np.linspace(8.0, 12.0, 5)))
+        assert [d for d, _ in blocks] == [10.0, 11.0]
+        assert all(type(p) is list and len(p) == 5 and {type(v) for v in p} == {float}
+                   for _, p in blocks)
 
-    def test_spectrum_scan_is_lazy_and_labels_each_value_once(self):
-        labelled = []
+    def test_spectrum_scan_is_lazy(self, monkeypatch):
+        solved = []
+        real = output_spectrum
 
-        def label(x):
-            labelled.append(x)
-            return x / math.pi
+        def spy(link, w, broadening):
+            solved.append(link.delta)
+            return real(link, w, broadening)
 
+        monkeypatch.setattr("shortlink.analytic.output_spectrum", spy)
         omegas = np.linspace(8.0, 12.0, 5)
-        rows = spectrum_scan(0.15, 1.0, [10.0, 11.0], omegas, 0.02, label=label)
-        assert labelled == []  # nothing runs before the first row is asked for
-        rows = list(rows)
-        assert labelled == [*omegas.tolist(), 10.0, 11.0]
-        for i, d in enumerate((10.0, 11.0)):
-            power = output_spectrum(make_link(0.15, 1.0, d), omegas, 0.02).spectrum
-            assert rows[5 * i:5 * i + 5] == list(zip([d / math.pi] * 5,
-                                                     (omegas / math.pi).tolist(), power.tolist()))
+        blocks = spectrum_scan(0.15, 1.0, [10.0, 11.0], omegas, 0.02)
+        assert solved == []  # nothing runs before the first block is asked for
+        first = next(blocks)
+        assert solved == [10.0]
+        for d, powers in [first, *blocks]:
+            want = real(make_link(0.15, 1.0, d), omegas, 0.02).spectrum.tolist()
+            assert powers == want
+        assert solved == [10.0, 11.0]

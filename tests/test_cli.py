@@ -7,10 +7,14 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shortlink.protocols
+from shortlink.analytic import output_spectrum
 from shortlink.cli import build_parser, main
+from shortlink.core import make_link
+from shortlink.io import write_csv
 
 
 def read_csv(path):
@@ -111,6 +115,36 @@ class TestSimulate:
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize("argv", [
+        (),  # the default 81 x 801 grid
+        ("--broadening", "0", "--delta-steps", "3", "--omega-steps", "51"),
+        ("--broadening", "0", "--delta-steps", "2", "--omega-steps", "513"),
+        ("--delta-fsr", "-2.5", "--delta-steps", "4", "--omega-steps", "300"),
+        ("--gamma-tau", "0", "--delta-steps", "2", "--omega-steps", "11"),  # bare ladder
+        # bare and unbroadened: omega = Delta is a pole (0/0), printed inf
+        ("--gamma-tau", "0", "--broadening", "0", "--delta-steps", "2", "--omega-steps", "9"),
+        ("--delta-steps", "1", "--omega-steps", "257"),
+        ("--delta-steps", "1", "--omega-steps", "255"),
+    ])
+    def test_heatmap_matches_the_row_path(self, outdir, argv):
+        # the heat map is written as io.heatmap_lines' pieces of rendered rows;
+        # its bytes are those write_csv's row path writes for the same rows
+        args = build_parser().parse_args(["spectrum", "--gamma-tau", "0.15", *argv,
+                                          "--out", "spec.csv"])
+        assert args.func(args) == 0
+        d0 = args.delta_fsr * math.pi
+        omegas = np.linspace(d0 - 0.5 * math.pi, d0 + 1.5 * math.pi, args.omega_steps)
+        rows = [(d / math.pi, w / math.pi, p)
+                for d in np.linspace(d0, d0 + math.pi, args.delta_steps).tolist()
+                for w, p in zip(omegas.tolist(), output_spectrum(
+                    make_link(args.gamma_tau, 1.0, d), omegas, args.broadening).spectrum.tolist())]
+        ref = write_csv("ref.csv", ["delta_fsr", "omega_fsr", "power"], rows)
+        got = (outdir / "spec.csv").read_text().splitlines(keepends=True)
+        assert got[3:] == ref.read_text().splitlines(keepends=True)
+        assert len(got) == 4 + args.delta_steps * args.omega_steps
+        assert any(line.endswith(",inf\n") for line in got) == (args.gamma_tau == 0
+                                                                and args.broadening == 0)
+
     def test_files_and_shapes(self, outdir):
         assert run("spectrum", "--gamma-tau", "0.15", "--delta-steps", "5",
                    "--omega-steps", "101", "--out", "spec.csv") == 0
@@ -167,6 +201,7 @@ class TestSpectrum:
         (("--omega-steps", "-3"), "--omega-steps must be >= 2, got -3"),
         (("--delta-fsr", "nan"), "--delta-fsr must be finite, got nan"),
         (("--delta-fsr=-inf",), "--delta-fsr must be finite, got -inf"),
+        (("--broadening", "-1"), "broadening must be >= 0, got -1.0"),
     ])
     def test_invalid_inputs_exit_before_any_file(self, outdir, capsys, argv, message):
         with warnings.catch_warnings():
@@ -390,6 +425,31 @@ class TestScan:
         assert err.splitlines() == [
             f"error: gamma0_tau grid must be finite and > 0, got {float(g)}"]
         assert list(outdir.iterdir()) == []
+
+    def test_loss_scan_needs_three_distinct_couplings(self, outdir, capsys, monkeypatch):
+        # one coupling three times would fit a power law through one point
+        def no_run(*args):
+            raise AssertionError("a protocol ran")
+        monkeypatch.setattr("shortlink.sweep.transfer", no_run)
+        assert run("scan", "--loss", "--grid", "0.2,0.2,0.2", "--out", "loss.csv") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: a loss scan's power-law fit needs at least 3 distinct couplings, got 1"]
+        assert list(outdir.iterdir()) == []
+
+    def test_ww_on_a_centred_ladder_matches_the_dde(self, outdir):
+        # at the default Delta = 50 FSR the 401-mode ladder holds 49 modes
+        # below Delta and 351 above, and the oracle measures that edge
+        # (README, "Three routes agree"); centred on Delta = 1000 FSR it
+        # agrees with each DDE row to 1%
+        assert run("scan", "--grid", "1.44", "--protocols", "stirap,czkm", "--ww",
+                   "--delta-fsr", "1000", "--out", "s.csv") == 0
+        _, rows = self._read_mixed(outdir / "s.csv")
+        dde = {(r[0], float(r[1])): float(r[3]) for r in rows}
+        ww = json.loads((outdir / "s.csv.summary.json").read_text())["ww"]
+        assert [(r["protocol"], r["gamma0_tau"]) for r in ww] == [("stirap", 1.44),
+                                                                   ("czkm", 1.44)]
+        for r in ww:
+            assert r["ww_infidelity"] == pytest.approx(dde[r["protocol"], 1.44], rel=0.01)
 
     def test_loss_scan_outputs_fits(self, outdir):
         assert run("scan", "--loss", "--grid", "0.05,0.1,0.2,0.5",

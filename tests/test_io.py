@@ -84,13 +84,20 @@ def _rows_then_raise(n):
     raise RuntimeError("row source failed")
 
 
+def _pieces_then_raise(n):
+    yield from ("0.5,%d,1\n0.5,%d,2\n" % (i, i) for i in range(n))
+    raise RuntimeError("piece source failed")
+
+
 @pytest.mark.parametrize("existing", [None, "# old\na,b,c\n1,2,3\n"])
 @pytest.mark.parametrize("rows, error, match", [
     (lambda: _rows_then_raise(2 * N + 7), RuntimeError, "^row source failed$"),
     (lambda: [(0.5, 0.25, 1.0)] * (N + 3) + [(0.5, 0.25)] + [(1.0, 2.0, 3.0)] * 5,
      ValueError, r"^row width 2 != 3 columns$"),
     (lambda: np.zeros((2 * N + 1, 2)), ValueError, r"^row width 2 != 3 columns$"),
-], ids=["generator-raises", "width-error-in-later-chunk", "narrow-float64-array"])
+    (lambda: _pieces_then_raise(2 * N + 7), RuntimeError, "^piece source failed$"),
+], ids=["generator-raises", "width-error-in-later-chunk", "narrow-float64-array",
+        "str-pieces-then-raise"])
 def test_failure_leaves_no_new_or_altered_file(tmp_path, monkeypatch, existing, rows, error, match):
     monkeypatch.delenv("SHORTLINK_OUTDIR", raising=False)
     path = tmp_path / "t.csv"
@@ -156,3 +163,68 @@ def test_str_cells_read_back_through_csv_reader(tmp_path, monkeypatch):
     with open(path, newline="") as fh:
         read = list(csv.reader(line for line in fh if not line.startswith("#")))
     assert read == [columns] + [[p, _reference_fmt(x), note] for p, x, note in rows]
+
+
+def test_str_items_written_as_they_stand(tmp_path, monkeypatch):
+    # a str item is lines already rendered: no width check, quoting or formatting
+    monkeypatch.delenv("SHORTLINK_OUTDIR", raising=False)
+    pieces = ["0.5,1e+12,nan\n", "a,\"b,c\",-0\nx,y,z\n", "", "1,2,3\n" * (N + 1)]
+    path = write_csv(tmp_path / "t.csv", ["a", "b", "c"], iter(pieces), {"tool": "shortlink"})
+    assert path.read_text() == "# tool = shortlink\na,b,c\n" + "".join(pieces)
+
+
+@pytest.mark.parametrize("n", [1, io._PIECE - 1, io._PIECE, io._PIECE + 1, 2 * io._PIECE + 3])
+def test_heatmap_lines_match_the_row_path(tmp_path, monkeypatch, n):
+    # heatmap_lines renders a block in pieces of at most _PIECE rows, each
+    # one template; the text is write_csv's for the rows (y/s, x/s, v)
+    monkeypatch.delenv("SHORTLINK_OUTDIR", raising=False)
+    rng = np.random.default_rng(n)
+    xs = np.sort(rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n))
+    ys = [0.25, -0.0, math.pi, 1e300]
+    values = [(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+              for _ in ys]
+    for v in values:
+        v[:3] = SPECIALS[:min(n, 3)]
+    pieces = list(io.heatmap_lines(zip(ys, values), xs, math.pi))
+    assert all(p.count("\n") <= io._PIECE for p in pieces)
+    rows = [(y / math.pi, x / math.pi, v) for y, vs in zip(ys, values)
+            for x, v in zip(xs.tolist(), vs)]
+    want = write_csv(tmp_path / "rows.csv", ["y", "x", "v"], rows).read_text()
+    got = write_csv(tmp_path / "pieces.csv", ["y", "x", "v"], iter(pieces)).read_text()
+    assert got == want
+
+
+def test_json_write_failure_leaves_the_old_file(tmp_path, monkeypatch):
+    # a write that fails part way (say, on a full disk) leaves the old
+    # document whole, and no temporary file
+    monkeypatch.delenv("SHORTLINK_OUTDIR", raising=False)
+    path = io.write_json(tmp_path / "t.json", {"old": [1.5, "x"]})
+    old = path.read_bytes()
+
+    class Full:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:7])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+    real_open = open
+    monkeypatch.setattr(io, "open", lambda *a, **k: Full(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        io.write_json(path, {"new": list(range(100))})
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == old
+    monkeypatch.undo()
+    assert io.write_json(path, {"new": 1}).read_text() == '{\n  "new": 1\n}\n'

@@ -82,8 +82,14 @@ class TestFitPowerLaw:
         pts = [(0.1, 1e-2), (0.2, 4e-2), (0.4, 1.6e-1), (0.8, 1e-12)]
         a, b, _ = fit_power_law(pts)  # last point dropped
         assert b == pytest.approx(2.0, rel=1e-9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least 3 distinct x above the noise floor$"):
             fit_power_law([(0.1, 1e-12), (0.2, 1e-12), (0.3, 1e-2)])
+        # repeated x: points enough, but a line through one or two abscissae
+        for pts in ([(0.2, 1e-2)] * 3, [(0.1, 1e-2), (0.2, 4e-2), (0.1, 1e-2), (0.2, 4e-2)],
+                    [(0.1, 1e-2), (0.2, 4e-2), (0.4, 1e-12), (0.2, 4e-2)]):
+            with pytest.raises(ValueError, match="^need at least 3 distinct x above the "
+                                                 "noise floor$"):
+                fit_power_law(pts)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -208,13 +214,14 @@ class TestScanProtocols:
             loss_scan([0.1], protocols=("czkm", "teleport"))
 
     def test_loss_scan_needs_three_couplings_before_any_run(self, monkeypatch):
-        # the power-law fit needs 3 points: fewer couplings fail before the
+        # the power-law fit needs 3 distinct couplings: fewer fail before the
         # first transfer, after the kappa, name and coupling checks
         runs = []
         monkeypatch.setattr("shortlink.sweep.transfer", lambda *a: runs.append(a))
-        for grid in ([], [0.2], [0.2, 0.5]):
+        for grid, n in (([], 0), ([0.2], 1), ([0.2, 0.5], 2), ([0.2, 0.2, 0.2], 1),
+                        ([0.2, 0.5, 0.2, 0.5], 2)):
             with pytest.raises(ValueError, match=rf"^a loss scan's power-law fit needs "
-                                                 rf"at least 3 couplings, got {len(grid)}$"):
+                                                 rf"at least 3 distinct couplings, got {n}$"):
                 loss_scan(grid, protocols=("czkm",))
         with pytest.raises(ValueError, match="kappa must be finite and >= 0"):
             loss_scan([0.2], kappa_tau=-1.0)

@@ -34,9 +34,12 @@ from pathlib import Path
 COMMANDS = [
     ["scan"],
     ["scan", "--loss", "--grid", "0.1,0.2,0.5"],
+    ["scan", "--loss", "--grid", "0.2,0.2,0.2"],  # one distinct coupling: no fit
     ["scan", "--grid", "0.2,1.0", "--ww", "--n-modes", "41"],
     # the default 401-mode ladder: about 30 000 oracle steps
     ["scan", "--grid", "0.5", "--protocols", "czkm", "--ww"],
+    # a ladder centred on Delta, the oracle's check of the model (README)
+    ["scan", "--grid", "1.44", "--protocols", "stirap,czkm", "--ww", "--delta-fsr", "1000"],
     ["scan", "--grid", "0.2,120", "--protocols", "czkm"],
     ["scan", "--grid", "nan,-1"],
     ["scan", "--grid", "nan,-1", "--protocols", "czkm"],
@@ -64,6 +67,8 @@ COMMANDS = [
      "--delta-fsr", "-inf"],
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "2", "--omega-steps", "11",
      "--broadening", "-inf"],
+    ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "2", "--omega-steps", "11",
+     "--broadening", "-1"],
     ["simulate", "--gamma-tau", "0.1", "--emitters", "2", "--ww"],
     ["simulate", "--gamma-tau", "0.1", "--ww", "--delta-fsr", "50.3"],
     # two emitters with Delta off a mode
