@@ -270,8 +270,9 @@ def output_amplitude(link: LinkParams, omega, broadening: float = 0.0):
 def output_spectrum(link: LinkParams, omega_grid, broadening: float = 0.0) -> SpectralResult:
     """|A(omega)|^2 on the grid, normalized so the finite maximum is 1.
 
-    Samples landing exactly on a pole are flagged +inf.  Local maxima of
-    the sampled spectrum line up with the eigenfrequency ladder.
+    Samples on a pole read +inf; at gamma0 = 0 a 0/0 sample reads 0 (an
+    uncoupled emitter emits nothing).  Local maxima of the sampled spectrum
+    line up with the eigenfrequency ladder.
     """
     w = np.asarray(omega_grid, dtype=float)
     if w.size == 0 or not np.all(np.isfinite(w)):
@@ -280,7 +281,7 @@ def output_spectrum(link: LinkParams, omega_grid, broadening: float = 0.0) -> Sp
         raise ValueError("omega_grid must be sorted")
     amp = output_amplitude(link, w, broadening)
     power = np.abs(amp) ** 2
-    power[~np.isfinite(power)] = np.inf
+    power[np.isnan(power)] = 0.0  # 0/0; a pole's sqrt(gamma0)/0 is already inf
     finite = power[np.isfinite(power)]
     if finite.size and finite.max() > 0:
         power = power / finite.max()

@@ -79,38 +79,39 @@ _SHAPES = ("constant", "sin2", "tanh")
 
 @dataclass(frozen=True)
 class PulseProfile:
-    """Time-dependent coupling gamma(t) as a tagged shape.
+    """Time-dependent coupling gamma(t) as a tagged shape on the closed support [a, b].
 
     shape is one of:
-      constant: params {gamma0}
-      sin2:     params {gamma0, duration}; gamma0*sin^2(pi*(t-t_start)/(2*duration))
-      tanh:     params {gamma0, center};   gamma0/2*(1+tanh(gamma0*(t-center)/2))
+      constant: gamma0
+      sin2:     gamma0*sin^2(pi*(t-a)/(2*T)), its duration T = b - a
+      tanh:     gamma0/2*(1+tanh(gamma0*(t-center)/2)); only a tanh pulse has a center
 
-    The profile vanishes outside the closed support interval.  If
-    mirror_about is set, the base shape is evaluated at (2*mirror_about - t)
-    which realizes the time-mirrored receiver pulses exactly.
+    The profile vanishes outside the support.  If mirror_about is set, the
+    base shape is evaluated at (2*mirror_about - t), which realizes the
+    time-mirrored receiver pulses exactly.
     """
 
     shape: str
-    params: dict
+    gamma0: float
     support: tuple
+    center: float | None = None
     mirror_about: float | None = None
 
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise ValueError(f"unknown pulse shape {self.shape!r}")
-        # parameters first (sin2_pulse's support comes from them); they keep samples in [0, gamma0]
-        g0 = self.params["gamma0"]
-        _check_finite("gamma0", g0)
-        if g0 < 0:
-            raise ValueError(f"gamma0 must be >= 0, got {g0}")
-        if self.shape == "sin2":
-            T = self.params["duration"]
-            if not (math.isfinite(T) and T > 0):
-                raise ValueError(f"sin2 duration must be finite and > 0, got {T!r}")
-        elif self.shape == "tanh":
-            _check_finite("tanh center", self.params["center"])
+        if (self.center is None) == (self.shape == "tanh"):
+            raise ValueError(f"a tanh pulse, and only a tanh pulse, has a center; "
+                             f"got a {self.shape} pulse with center {self.center!r}")
+        # fields before the support, so sin2_pulse names its duration; they keep samples in [0, gamma0]
+        _check_finite("gamma0", self.gamma0)
+        if self.gamma0 < 0:
+            raise ValueError(f"gamma0 must be >= 0, got {self.gamma0}")
         a, b = self.support
+        if self.shape == "sin2" and not (math.isfinite(b - a) and b - a > 0):
+            raise ValueError(f"sin2 duration must be finite and > 0, got {b - a!r}")
+        if self.center is not None:
+            _check_finite("tanh center", self.center)
         if not (math.isfinite(a) and math.isfinite(b) and a <= b):
             raise ValueError(f"invalid support {self.support!r}")
         if self.mirror_about is not None:
@@ -121,7 +122,7 @@ def eval_pulse(p: PulseProfile, t):
     """Evaluate a pulse at time(s) t.  Pure; 0 outside the support.
 
     sin2 and tanh are sampled in place, one operation at a time in the
-    order of g0 * sin(0.5*pi*(te - a)/T)**2 and
+    order of g0 * sin(0.5*pi*(te - a)/(b - a))**2 and
     0.5*g0 * (1 + tanh(0.5*g0 * (te - tc))).  Their checked parameters
     keep sin^2 and 1 + tanh in [0, 1] and [0, 2], so every sample lies in
     [0, gamma0] with no clamp.
@@ -133,17 +134,17 @@ def eval_pulse(p: PulseProfile, t):
     outside = ~((t_arr >= a) & (t_arr <= b))  # NaN t too
     te = t_arr if p.mirror_about is None else 2.0 * p.mirror_about - t_arr
     if p.shape == "constant":
-        g = np.full_like(t_arr, p.params["gamma0"])
+        g = np.full_like(t_arr, p.gamma0)
     elif p.shape == "sin2":
         g = te - a
         g *= 0.5 * math.pi
-        g /= p.params["duration"]
+        g /= b - a
         np.sin(g, out=g)
         np.square(g, out=g)
-        g *= p.params["gamma0"]
+        g *= p.gamma0
     else:  # tanh
-        half_g0 = 0.5 * p.params["gamma0"]
-        g = te - p.params["center"]
+        half_g0 = 0.5 * p.gamma0
+        g = te - p.center
         g *= half_g0
         np.tanh(g, out=g)
         g += 1.0
@@ -153,23 +154,18 @@ def eval_pulse(p: PulseProfile, t):
 
 
 def constant_pulse(gamma0: float, support) -> PulseProfile:
-    return PulseProfile("constant", {"gamma0": float(gamma0)}, tuple(support))
+    return PulseProfile("constant", float(gamma0), tuple(support))
 
 
 def sin2_pulse(gamma0: float, duration: float, mirror=False) -> PulseProfile:
     """gamma0*sin^2(pi*t/(2*T)) on [0, T]; mirror gives gamma(T - t)."""
-    return PulseProfile("sin2", {"gamma0": float(gamma0), "duration": float(duration)},
-                        (0.0, duration), mirror_about=0.5 * duration if mirror else None)
+    return PulseProfile("sin2", float(gamma0), (0.0, float(duration)),
+                        mirror_about=0.5 * duration if mirror else None)
 
 
 def tanh_pulse(gamma0: float, center: float, support, mirror_about=None) -> PulseProfile:
     """gamma0/2*(1+tanh(gamma0*(t-center)/2)); optionally time-mirrored."""
-    return PulseProfile(
-        "tanh",
-        {"gamma0": float(gamma0), "center": float(center)},
-        tuple(support),
-        mirror_about=mirror_about,
-    )
+    return PulseProfile("tanh", float(gamma0), tuple(support), float(center), mirror_about)
 
 
 # ---------------------------------------------------------------------------

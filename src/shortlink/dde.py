@@ -125,10 +125,10 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
 
     If both phases and c0 have +0 imaginary parts (Delta = 0), the arrays
     are real: the complex route's imaginary parts would all stay +0 (a -0
-    could flip a zero's sign) and its real parts round as these do.  A real
-    run at phase 1 skips its phase products; a complex product goes
-    through _parts: a phase's and a lone emitter's coupling, chosen once
-    per run; a pair's couplings are real.
+    could flip a zero's sign) and its real parts round as these do.  Then
+    both phases are 1.0 (exp(ix) has a +0 imaginary part only at x = 0),
+    so a real run makes no phase products; a complex product goes through
+    _parts: a phase's and a lone emitter's coupling; a pair's are real.
 
     A run with the last run's L, h, R, P, big_phi and c0 (one stored run
     per L) copies c and the history up to K, the last block boundary
@@ -146,11 +146,8 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     cross = R - M  # shift from an emitter's own echo to its partner's
     e_self, e_cross = phase_factor(big_phi), phase_factor(0.5 * big_phi)
     real = not any(z.imag or math.copysign(1.0, z.imag) < 0 for z in (e_self, e_cross, *c0))
-    if real:
-        e_self, e_cross, c0 = e_self.real, e_cross.real, tuple(z.real for z in c0)
-        by_phase = _unit if e_self == e_cross == 1.0 else operator.mul
-    else:
-        by_phase = _cmul
+    c0 = tuple(z.real for z in c0) if real else c0
+    by_phase = _unit if real else _cmul
 
     key = repr((L, h, R, P, big_phi, c0))  # repr tells -0.0 from 0.0
     stored = _last.pop(L, None)  # out of the store: no run overlaps the run it replaces
@@ -173,7 +170,7 @@ def _method_of_steps(pulses, c0, grid: TimeGrid, R: int, big_phi: float) -> Traj
     # emitter's carries its phase), their negatives at nodes, half nodes and left limits
     span = max(1, _SPAN // P) * P
     roots = np.zeros((4, L, min(span, N - K) + 1))
-    lone = _unit if L == 2 or by_phase is _unit else operator.mul
+    lone = _unit if L == 2 or real else operator.mul
     forcing = operator.mul if real else _complex_forcing
     if not K:
         c[:, 0] = c0

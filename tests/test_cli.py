@@ -121,7 +121,7 @@ class TestSpectrum:
         ("--broadening", "0", "--delta-steps", "2", "--omega-steps", "513"),
         ("--delta-fsr", "-2.5", "--delta-steps", "4", "--omega-steps", "300"),
         ("--gamma-tau", "0", "--delta-steps", "2", "--omega-steps", "11"),  # bare ladder
-        # bare and unbroadened: omega = Delta is a pole (0/0), printed inf
+        # bare and unbroadened: omega = Delta is 0/0, printed 0 (no coupling, no emission)
         ("--gamma-tau", "0", "--broadening", "0", "--delta-steps", "2", "--omega-steps", "9"),
         ("--delta-steps", "1", "--omega-steps", "257"),
         ("--delta-steps", "1", "--omega-steps", "255"),
@@ -142,8 +142,9 @@ class TestSpectrum:
         got = (outdir / "spec.csv").read_text().splitlines(keepends=True)
         assert got[3:] == ref.read_text().splitlines(keepends=True)
         assert len(got) == 4 + args.delta_steps * args.omega_steps
-        assert any(line.endswith(",inf\n") for line in got) == (args.gamma_tau == 0
-                                                                and args.broadening == 0)
+        assert not any(line.endswith(",inf\n") for line in got)
+        if args.gamma_tau == 0:
+            assert all(line.endswith(",0\n") for line in got[4:])
 
     def test_files_and_shapes(self, outdir):
         assert run("spectrum", "--gamma-tau", "0.15", "--delta-steps", "5",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -72,13 +73,38 @@ class TestPulses:
     def test_cap_never_exceeded(self):
         for p in (sin2_pulse(0.7, 3.0), tanh_pulse(0.7, 1.0, (0.0, 9.0))):
             t = np.linspace(-1.0, 10.0, 500)
-            assert np.max(eval_pulse(p, t)) <= p.params["gamma0"] + 1e-15
+            assert np.max(eval_pulse(p, t)) <= p.gamma0 + 1e-15
 
     def test_sampled_validation(self):
         # a pulse is one of the three analytic shapes; "sampled" is gone too
         for shape in ("wedge", "sampled"):
             with pytest.raises(ValueError, match=f"^unknown pulse shape '{shape}'$"):
-                PulseProfile(shape, {}, (0.0, 1.0))
+                PulseProfile(shape, 0.5, (0.0, 1.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: PulseProfile("tanh", 0.5, (0.0, 1.0)),
+        lambda: PulseProfile("constant", 0.5, (0.0, 1.0), 0.5),
+        lambda: PulseProfile("sin2", 0.5, (0.0, 1.0), center=0.5),
+    ], ids=["tanh without", "constant with", "sin2 with"])
+    def test_only_a_tanh_pulse_has_a_center(self, make):
+        with pytest.raises(ValueError, match="^a tanh pulse, and only a tanh pulse, has a center"):
+            make()
+
+    def test_pulses_are_frozen_hashable_values(self):
+        # a pulse is its typed fields: equal pulses hash equal, and no field
+        # changes after the check on construction
+        assert [f.name for f in dataclasses.fields(PulseProfile)] == [
+            "shape", "gamma0", "support", "center", "mirror_about"]
+        for make in (lambda: constant_pulse(0.3, [0.0, 5.0]), lambda: sin2_pulse(0.7, 3),
+                     lambda: sin2_pulse(0.7, 3.0, mirror=True),
+                     lambda: tanh_pulse(0.4, 5, (0.0, 10.0), mirror_about=5.0)):
+            p, q = make(), make()
+            assert p is not q and p == q and hash(p) == hash(q)
+            for field in ("gamma0", "support", "center"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(p, field, getattr(q, field))
+        assert sin2_pulse(0.7, 3.0) != sin2_pulse(0.7, 3.0, mirror=True)
+        assert sin2_pulse(0.7, 3.0).center is None
 
     @pytest.mark.parametrize("support", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)])
     def test_bad_support_rejected(self, support):
@@ -91,9 +117,10 @@ class TestPulses:
         (lambda: sin2_pulse(-0.5, 2.0), "gamma0 must be >= 0, got -0.5"),
         (lambda: sin2_pulse(math.nan, 2.0), "gamma0 must be finite, got nan"),
         (lambda: sin2_pulse(0.5, 0.0), "sin2 duration must be finite and > 0, got 0.0"),
-        (lambda: PulseProfile("sin2", {"gamma0": 0.5, "duration": -1.0}, (0.0, 1.0)),
+        # a sin2 pulse's duration is its support's length, checked before the support
+        (lambda: PulseProfile("sin2", 0.5, (0.0, -1.0)),
          "sin2 duration must be finite and > 0, got -1.0"),
-        (lambda: PulseProfile("sin2", {"gamma0": 0.5, "duration": math.inf}, (0.0, 1.0)),
+        (lambda: PulseProfile("sin2", 0.5, (0.0, math.inf)),
          "sin2 duration must be finite and > 0, got inf"),
         # sin2_pulse makes its support (0, duration): the duration is named, not the pair
         pytest.param(lambda: sin2_pulse(0.5, -1.0), "sin2 duration must be finite and > 0, got -1.0",
@@ -120,10 +147,10 @@ class TestPulses:
         # not, at and beyond both support ends, NaN, inf and scalar t
         a, b = 0.3, 7.3
         pulses = [constant_pulse(0.7, (a, b)), constant_pulse(-0.0, (a, b)),
-                  PulseProfile("constant", {"gamma0": 0.7}, (a, b), mirror_about=3.8),
-                  PulseProfile("sin2", {"gamma0": 0.7, "duration": b - a}, (a, b)),
+                  PulseProfile("constant", 0.7, (a, b), mirror_about=3.8),
+                  PulseProfile("sin2", 0.7, (a, b)),
                   sin2_pulse(0.7, 7.0, mirror=True),
-                  PulseProfile("sin2", {"gamma0": 1e300, "duration": 3.1}, (a, b)),
+                  PulseProfile("sin2", 1e300, (a, a + 3.1)),
                   sin2_pulse(0.0, 2.0),
                   tanh_pulse(0.7, 2.2, (a, b)), tanh_pulse(0.7, 2.2, (a, b), mirror_about=3.8),
                   tanh_pulse(1e300, -4.0, (a, b)), tanh_pulse(-0.0, 2.2, (a, b))]
@@ -150,16 +177,16 @@ def _reference_eval_pulse(p, t):
     inside = (t_arr >= a) & (t_arr <= b)
     te = t_arr if p.mirror_about is None else 2.0 * p.mirror_about - t_arr
     if p.shape == "constant":
-        g = np.full_like(t_arr, p.params["gamma0"])
+        g = np.full_like(t_arr, p.gamma0)
     elif p.shape == "sin2":
-        g0 = p.params["gamma0"]
-        T = p.params["duration"]
+        g0 = p.gamma0
+        T = b - a
         g = g0 * np.sin(0.5 * math.pi * (te - a) / T) ** 2
     else:
-        g0 = p.params["gamma0"]
-        tc = p.params["center"]
+        g0 = p.gamma0
+        tc = p.center
         g = 0.5 * g0 * (1.0 + np.tanh(0.5 * g0 * (te - tc)))
-    out = np.where(inside, np.clip(g, 0.0, p.params["gamma0"]), 0.0)
+    out = np.where(inside, np.clip(g, 0.0, p.gamma0), 0.0)
     return float(out[0]) if scalar else out
 
 

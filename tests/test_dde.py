@@ -384,6 +384,50 @@ class TestResume:
         assert np.array_equal(im.c, 1j * re.c)
 
 
+def test_real_runs_are_phase_free(monkeypatch):
+    # the kernel takes its real route only when both phase factors have a +0
+    # imaginary part.  phase_factor's imaginary part is zero exactly when the
+    # reduced argument fmod(n*phi, 2 pi) is (the sine of a nonzero double is
+    # never 0), and then the factor is exactly 1.0, so a real run's phases are
+    # 1.0 and it makes no phase products
+    def check(phi, n=1):
+        z, r = phase_factor(phi, n), math.fmod(n * phi, 2.0 * math.pi)
+        assert (z.imag == 0.0) == (r == 0.0), (phi, n)
+        if r == 0.0:  # a -0 argument reads 1 + 0j too
+            assert z == 1.0 and z.real.hex() == "0x1.0000000000000p+0", (phi, n)
+        return r == 0.0
+
+    assert check(0.0) and check(-0.0)
+    for x in (5e-324, -5e-324, math.nextafter(math.pi, 4.0), math.pi, 1e-300, 1e300):
+        assert not check(x)
+    zeros = sum(check(step * k) for step in (2.0 * math.pi, math.pi) for k in range(1, 10**6 + 1))
+    assert zeros == 179  # the products that round to a whole multiple of the double 2 pi
+    for phi, n in ((2.0 * math.pi, 2**40), (math.pi, 2**1000), (0.1, 10**15), (1.5, 3 * 10**300),
+                   (1e300, 7), (math.nextafter(2.0 * math.pi, 7.0), 10**9)):
+        check(phi, n)
+    # Delta = 0, and a pair at Delta tau = 2 pi, whose phases 4 pi and 2 pi
+    # reduce to +0: real runs that call no complex product and match the
+    # step-at-a-time reference bit for bit
+    products = []
+    monkeypatch.setattr(dde, "_cmul", lambda z, w: products.append(z))
+    grid = make_grid(1.0, 3.3, 20)
+    p1, p2 = tanh_pulse(0.8, 1.2, (0.0, 3.3)), sin2_pulse(0.8, 3.3, mirror=True)
+    for delta, c0 in ((0.0, (1.0, 0.0)), (0.0, (0.6, -0.8)), (2.0 * math.pi, (0.6, 0.8))):
+        link = make_link(0.8, 1.0, delta)
+        pair = cold(lambda: evolve_pair(link, p1, p2, c0, grid))
+        assert pair.c.dtype == float
+        c, b = stepwise((p1, p2), [complex(z) for z in c0], grid, 40, 2.0 * link.phi)
+        assert_same_bits(pair.c, c)
+        assert_same_bits(echo(pair), b)
+    for round_trip in ((2.0, 0.0), (1.0, 0.0)):
+        single = cold(lambda: evolve_single(make_link(0.8, 1.0, 0.0), p1, 0.6, grid, round_trip))
+        assert single.c.dtype == float
+        c, b = stepwise((p1,), (0.6 + 0j,), grid, int(20 * round_trip[0]), round_trip[1])
+        assert_same_bits(single.c, c)
+        assert_same_bits(echo(single), b)
+    assert products == []
+
+
 def traced_cold_pair_run(T):
     """A cold sin2 pair run of T tau at 200 steps per tau, gamma tau = 0.1:
     (steps, bytes held on return, peak bytes) as tracemalloc traces them."""
@@ -494,7 +538,7 @@ def test_inputs_fail_before_the_first_step(emitters, run, rk4_steps, sampled):
     grid = make_grid(1.0, 2.0, 40)
     good = constant_pulse(0.5, (0.0, 2.0))
     mutated = constant_pulse(0.5, (0.0, 2.0))
-    mutated.params["gamma0"] = math.nan  # a frozen pulse's params dict still changes
+    object.__setattr__(mutated, "gamma0", math.nan)  # past the frozen pulse's check
     for bad in (sampled([0.0, 2.0], [0.5, math.nan]), sampled([0.0, 2.0], [0.5, math.inf]),
                 mutated):
         with pytest.raises(ValueError, match=f"^{re.escape(NON_FINITE)}$"):

@@ -194,6 +194,12 @@ def test_heatmap_lines_match_the_row_path(tmp_path, monkeypatch, n):
     assert got == want
 
 
+def test_heatmap_lines_print_a_pole_as_inf():
+    # output_spectrum flags a sample on a pole +inf; the heat map prints it as "inf"
+    pieces = io.heatmap_lines([(1.0, [0.5, math.inf, 0.0])], [0.0, 1.0, 2.0], 1.0)
+    assert "".join(pieces) == "1,0,0.5\n1,1,inf\n1,2,0\n"
+
+
 def test_json_write_failure_leaves_the_old_file(tmp_path, monkeypatch):
     # a write that fails part way (say, on a full disk) leaves the old
     # document whole, and no temporary file

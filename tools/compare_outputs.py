@@ -63,6 +63,9 @@ COMMANDS = [
     ["spectrum", "--gamma-tau", "0.15", "--broadening", "0", "--delta-steps", "3",
      "--omega-steps", "51"],
     ["spectrum", "--gamma-tau", "0", "--delta-steps", "2", "--omega-steps", "11"],  # bare ladder
+    # bare and unbroadened: omega = Delta on the 50 FSR row is 0/0, printed 0
+    ["spectrum", "--gamma-tau", "0", "--broadening", "0", "--delta-steps", "2",
+     "--omega-steps", "9"],
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "2", "--omega-steps", "11",
      "--delta-fsr", "-inf"],
     ["spectrum", "--gamma-tau", "0.15", "--delta-steps", "2", "--omega-steps", "11",

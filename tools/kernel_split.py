@@ -7,12 +7,11 @@ CHECKOUT (default: the one holding this file) puts its `src` and
 kernel's stored resume run, makes one pass in a temporary SHORTLINK_OUTDIR
 and prints the seconds in `dde._method_of_steps` (kernel), `dde._rk4_steps`
 (RK4 arithmetic) and the kernel's front end `dde.run_inputs` (pulse
-sampling; `dde.eval_pulse` in a checkout that has no front end), the
-kernel's other time (rest), its runs, blocks and RK4 row-steps.  The three
-functions are wrapped from outside, as perfbench's tracer wraps functions,
-so a parent checkout can be measured too; each wrapper's cost lands in its
-own stage.  They are wrapped where `dde` binds them, so `evolve_ww`'s own
-sampling stays out of the split.
+sampling), the kernel's other time (rest), its runs, blocks and RK4
+row-steps.  The three functions are wrapped from outside, as perfbench's
+tracer wraps functions, so a parent checkout can be measured too; each
+wrapper's cost lands in its own stage.  They are wrapped where `dde`
+binds them, so `evolve_ww`'s own sampling stays out of the split.
 A run's blocks are its longest chain of `_rk4_steps` calls, each starting
 from the value the one before ended on: every row not at rest is stepped
 in every block.
@@ -52,8 +51,7 @@ def split(dde, run_pass) -> dict:
     """COLUMNS of the kernel's work during run_pass()."""
     s = dict.fromkeys(COLUMNS, 0)
     chains = {}  # last value of a chain of RK4 calls -> its length
-    front = "run_inputs" if hasattr(dde, "run_inputs") else "eval_pulse"
-    kernel, rk4, sample = dde._method_of_steps, dde._rk4_steps, getattr(dde, front)
+    kernel, rk4, sample = dde._method_of_steps, dde._rk4_steps, dde.run_inputs
 
     def timed_kernel(*args):
         chains.clear()
@@ -70,12 +68,12 @@ def split(dde, run_pass) -> dict:
         return out
 
     dde._method_of_steps, dde._rk4_steps = timed_kernel, timed_rk4
-    setattr(dde, front, lambda *args: _timed(s, "sampling_s", sample, *args))
+    dde.run_inputs = lambda *args: _timed(s, "sampling_s", sample, *args)
     try:
         run_pass()
     finally:
         dde._method_of_steps, dde._rk4_steps = kernel, rk4
-        setattr(dde, front, sample)
+        dde.run_inputs = sample
     s["rest_s"] = s["kernel_s"] - s["rk4_s"] - s["sampling_s"]
     return s
 
